@@ -188,14 +188,15 @@ def main(ctx, config_path):
 @click.option("--p", "want_p", is_flag=True, help="Graphical fraction per weight.")
 @click.option("--r", "want_r", is_flag=True, help="Dominance-comparable pair fraction per weight.")
 @click.option("--n", "weights", type=click.IntRange(min=0), multiple=True,
-              required=True, help="Weight(s) to exhaust; repeatable.")
+              required=True, help="Weight(s); repeatable.")
 @click.option("--cap", type=click.IntRange(min=0), default=None,
-              help="Override the enumeration safety cap.")
+              help="Override the size cap (60 for --p, 30 for --r).")
 @click.option("--two-sided", is_flag=True,
               help="With --r: count comparability in either direction.")
 @output_options()
 def exact_cmd(want_p, want_r, weights, cap, two_sided, output_format, out):
-    """Exhaustive exact probabilities over whole weight classes."""
+    """Exact probabilities over whole weight classes: p(n) by a
+    Durfee-square count, r(n) by exhausting ordered pairs."""
     started = time.perf_counter()
     if want_p == want_r:
         raise click.UsageError("exactly one of --p or --r is required")

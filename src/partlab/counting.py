@@ -1,20 +1,24 @@
-"""Exact counting, enumeration, unranking, and exhaustive probabilities.
+"""Exact counting, enumeration, unranking, and exact probabilities.
 
 The workhorse is a dynamic-programming table of restricted counts
 c(m, k) = number of partitions of m whose largest part is at most k.
 The table powers pi(n) = c(n, n), reverse-lexicographic enumeration,
 and unranking (which in turn powers exact uniform sampling).  An
 independently implemented pentagonal-number recurrence cross-checks
-the table.  Probabilities are exact rationals throughout.
+the table.  Graphical partitions are counted without listing them, by
+a dynamic program over the Durfee-square decomposition; dominance-
+comparable pairs are counted by pair exhaustion.  Probabilities are
+exact rationals throughout.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
-from .partitions import Partition, _parts_of, is_graphical_eg, is_graphical_hh
+from .partitions import Partition, _parts_of
 
 __all__ = [
     "ENUMERATION_CAP",
@@ -32,7 +36,8 @@ __all__ = [
     "unrank",
 ]
 
-#: Default cap for full enumeration of one weight class (exact_p).
+#: Default cap on n for exact_p: the range over which the Durfee count is
+#: tested against full enumeration.
 ENUMERATION_CAP = 60
 #: Default cap for exhaustion over ordered pairs of partitions (exact_r).
 PAIR_CAP = 30
@@ -194,27 +199,63 @@ def rank(table, lam):
     return idx
 
 
-def graphical_count(n, *, cap=ENUMERATION_CAP):
-    """(graphical partitions of n, pi(n)) by exhaustion.
+def _durfee_graphical_count(d, weight):
+    """Graphical partitions of an even n = d^2 + weight with Durfee size d.
 
-    Decides graphicality with the Erdos-Gallai form and cross-checks
-    every verdict against the Havel-Hakimi reduction; a disagreement
-    raises immediately.  Cost grows like pi(n), hence the cap
-    (default 60).
+    Such a partition is the d x d square plus alpha to its right and
+    gamma' below it, where alpha_k = lam_k - d and gamma_k = lam'_k - d
+    are partitions with at most d parts and |alpha| + |gamma| = weight.
+    Conjugate Erdos-Gallai reads Gamma_k - A_k >= k for k = 1..d, on the
+    prefix sums A, Gamma of alpha, gamma.  ``rest(k, a, g, gap, left)``
+    counts the ways to choose levels k+1..d given alpha_k = a,
+    gamma_k = g, gap = Gamma_k - A_k and left = weight - A_k - Gamma_k.
+    """
+
+    @lru_cache(maxsize=None)
+    def rest(k, a, g, gap, left):
+        if k == d:
+            return 1  # level d took all that was left: spread = left there
+        # levels k+1..d take at most a2 + g2 each, so a2 + g2 >= spread
+        spread = -(-left // (d - k))
+        total = 0
+        for a2 in range(min(a, left) + 1):
+            lo = max(0, a2 + k + 1 - gap, spread - a2)
+            for g2 in range(lo, min(g, left - a2) + 1):
+                # once gap >= d + (d-k-1) a2, no later level can fail,
+                # so every larger gap counts alike: clamp to merge states
+                gap2 = min(gap + g2 - a2, d + (d - k - 1) * a2)
+                total += rest(k + 1, a2, g2, gap2, left - a2 - g2)
+        return total
+
+    try:
+        return rest(0, weight, weight, 0, weight)
+    finally:
+        # rest refers to itself, so without this its memo would outlive
+        # the call until the cyclic garbage collector ran
+        rest.cache_clear()
+
+
+def graphical_count(n, *, cap=ENUMERATION_CAP):
+    """(graphical partitions of n, pi(n)), counted without enumeration.
+
+    Sums _durfee_graphical_count over the Durfee size d; odd n has no
+    graphical partition.  pi(n) comes from the pentagonal recurrence.
+    The memo lives for one call.  The default cap (60) is the range
+    over which the count is tested against exhaustive enumeration with
+    both graphicality tests; pass cap= to go beyond it.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > cap:
         raise ValueError(f"n = {n} above enumeration cap {cap}; pass cap= to force")
-    total = 0
-    hits = 0
-    for parts in _part_tuples(n):
-        total += 1
-        ok = is_graphical_eg(parts)
-        if ok != is_graphical_hh(parts):
-            raise RuntimeError(f"graphicality tests disagree on {parts}")
-        if ok:
-            hits += 1
+    total = pentagonal_counts(n)[n]
+    if n % 2:
+        return 0, total
+    hits = 1 if n == 0 else 0
+    d = 1
+    while d * d <= n:
+        hits += _durfee_graphical_count(d, n - d * d)
+        d += 1
     return hits, total
 
 

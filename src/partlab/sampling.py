@@ -35,18 +35,21 @@ from .partitions import Partition, dominates, is_graphical_eg
 from .stats import C_SCALE, make_estimate
 
 __all__ = [
+    "EXACT_TABLE_CAP",
     "RejectionLimitError",
     "estimate_p_mc",
     "estimate_r_mc",
     "fristedt_q",
     "sample_exact_uniform",
-    "sample_exponential",
     "sample_fristedt",
     "sample_fristedt_batch",
     "sample_uniform_batch",
 ]
 
 _BATCH = 512
+#: Largest n for which method 'exact' builds its own counting table:
+#: (n+1)^2 big-integer cells, about 1 s and 210 MB at n = 2000.
+EXACT_TABLE_CAP = 2000
 
 
 class RejectionLimitError(RuntimeError):
@@ -65,11 +68,6 @@ def fristedt_q(n):
     if n < 1:
         raise ValueError("n must be >= 1")
     return math.exp(-C_SCALE / math.sqrt(n))
-
-
-def sample_exponential(rng, size=None):
-    """Mean-1 exponential variates (inverse CDF on open-interval uniforms)."""
-    return rng.exponential(size)
 
 
 def sample_exact_uniform(table, n, rng):
@@ -198,11 +196,17 @@ def sample_uniform_batch(n, count, rng, *, method="exact", table=None,
     """Draw ``count`` uniform partitions of n with the named method.
 
     method: 'exact' (unranking; builds a table up to n when none is
-    passed), 'fristedt' (plain rejection), or 'fristedt-pdc'.
-    Returns (partitions, attempts); for 'exact', attempts == count.
+    passed, for n up to EXACT_TABLE_CAP), 'fristedt' (plain rejection),
+    or 'fristedt-pdc'.  Returns (partitions, attempts); for 'exact',
+    attempts == count.
     """
     if method == "exact":
         if table is None:
+            if n > EXACT_TABLE_CAP:
+                raise ValueError(
+                    f"n = {n} above the exact sampler's table cap "
+                    f"{EXACT_TABLE_CAP}; use method 'fristedt-pdc'"
+                )
             table = build_table(n)
         return [sample_exact_uniform(table, n, rng) for _ in range(count)], count
     if method == "fristedt":

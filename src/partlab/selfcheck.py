@@ -192,7 +192,7 @@ def check_sampler_uniformity(seed=DEFAULT_SEED):
 
 
 def check_mc_vs_exact(seed=DEFAULT_SEED):
-    """estimate_p at n=40 vs the exhaustive value, within 4 standard errors."""
+    """estimate_p at n=40 vs the exact value, within 4 standard errors."""
     t0 = time.perf_counter()
     est = sampling.estimate_p_mc(40, 10**5, RandomStream(seed, 7))
     exact = float(counting.exact_p(40))

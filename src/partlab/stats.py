@@ -32,7 +32,9 @@ def wilson_interval(hits, trials, z=Z95):
     """Wilson score interval for a binomial proportion, as (lo, hi).
 
     Stays sane at observed proportions 0 and 1, where the Wald
-    interval collapses.
+    interval collapses.  There the interval's own end is exactly 0 or
+    1; it is returned as such, so lo <= hits/trials <= hi always holds
+    (the float formula can miss it by one rounding step).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -47,7 +49,9 @@ def wilson_interval(hits, trials, z=Z95):
         * math.sqrt(phat * (1.0 - phat) / trials + z2 / (4.0 * trials * trials))
         / denom
     )
-    return max(0.0, center - half), min(1.0, center + half)
+    lo = 0.0 if hits == 0 else max(0.0, center - half)
+    hi = 1.0 if hits == trials else min(1.0, center + half)
+    return lo, hi
 
 
 @dataclass(frozen=True)

@@ -130,6 +130,14 @@ class TestEstimators:
         assert res.exit_code == 0
         assert lines(res)[1].startswith("r-dominance,10,")
 
+    def test_exact_table_cap_is_one_line(self, runner):
+        res = runner.invoke(main, ["estimate-p", "--n", "10000", "--trials", "5",
+                                   "--seed", "5"])
+        assert res.exit_code == 2
+        assert res.output == (
+            "error: n = 10000 above the exact sampler's table cap 2000; "
+            "use method 'fristedt-pdc'\n")
+
     def test_json_document_shape(self, runner):
         res = runner.invoke(main, ["estimate-p", "--n", "12", "--trials", "400",
                                    "--seed", "5", "--output", "json"])

@@ -3,7 +3,12 @@ from fractions import Fraction
 import pytest
 
 from partlab import counting
-from partlab.partitions import Partition, dominates
+from partlab.partitions import (
+    Partition,
+    dominates,
+    is_graphical_eg,
+    is_graphical_hh,
+)
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +112,23 @@ class TestExactP:
         hits, total = counting.graphical_count(8)
         assert total == 22
         assert Fraction(hits, total) == counting.exact_p(8)
+
+    def test_matches_enumeration_tally(self):
+        # the reference oracle: list every partition, decide each one by
+        # both graphicality tests, and tally
+        for n in range(41):
+            hits = total = 0
+            for lam in counting.enumerate_partitions(n):
+                total += 1
+                ok = is_graphical_eg(lam)
+                assert ok == is_graphical_hh(lam), lam
+                hits += ok
+            assert counting.graphical_count(n) == (hits, total), n
+
+    def test_pinned_counts_beyond_tally(self):
+        for n, hits in ((42, 19956), (44, 28179), (46, 39467), (60, 357635)):
+            assert counting.graphical_count(n) == (
+                hits, counting.pentagonal_counts(n)[n])
 
     def test_cap(self):
         with pytest.raises(ValueError, match="enumeration cap"):

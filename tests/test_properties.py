@@ -1,0 +1,43 @@
+"""Property tests: ranking, conjugation and the two graphicality tests
+on generated inputs."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from partlab import counting, sampling
+from partlab.partitions import (
+    Partition,
+    conjugate,
+    is_graphical_eg,
+    is_graphical_hh,
+)
+from partlab.rng import RandomStream
+
+MAX_N = 40
+TABLE = counting.build_table(MAX_N)
+# derandomized, so every run draws the same examples
+SETTINGS = settings(derandomize=True, deadline=None, max_examples=200)
+
+
+@SETTINGS
+@given(st.data())
+def test_rank_inverts_unrank(data):
+    n = data.draw(st.integers(0, MAX_N), label="n")
+    idx = data.draw(st.integers(0, TABLE.count(n) - 1), label="idx")
+    assert counting.rank(TABLE, counting.unrank(TABLE, n, idx)) == idx
+
+
+@SETTINGS
+@given(st.lists(st.integers(1, 30), max_size=30).map(Partition))
+def test_conjugation_is_an_involution(lam):
+    once = conjugate(lam)
+    assert once.weight == lam.weight
+    assert conjugate(once) == lam
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.integers(0, 2**32 - 1))
+def test_graphicality_tests_agree_on_sampled_partitions(seed):
+    parts, _ = sampling.sample_fristedt_batch(
+        1000, 1, RandomStream(seed, 0), pdc=True)
+    assert is_graphical_eg(parts[0]) == is_graphical_hh(parts[0])

@@ -100,6 +100,13 @@ class TestWilson:
             assert hits / 100 - eps <= hi <= 1.0
             assert lo < hi
 
+    def test_ends_contain_estimate_exactly(self):
+        for trials in range(1, 20001):
+            lo, hi = wilson_interval(0, trials)
+            assert lo == 0.0 < hi
+            lo, hi = wilson_interval(trials, trials)
+            assert lo < 1.0 == hi
+
     def test_z95_value(self):
         assert abs(Z95 - 1.959963984540054) < 1e-15
 

@@ -136,6 +136,17 @@ class TestBatchFrontend:
             )
             assert all(lam.weight == 15 for lam in parts)
 
+    def test_exact_table_cap(self, monkeypatch):
+        with pytest.raises(ValueError, match="table cap"):
+            sampling.sample_uniform_batch(10**4, 1, RandomStream(15, 0))
+        monkeypatch.setattr(sampling, "EXACT_TABLE_CAP", 8)
+        with pytest.raises(ValueError, match="table cap 8"):
+            sampling.sample_uniform_batch(10, 1, RandomStream(15, 0))
+        # a table passed in is the caller's to size
+        parts, _ = sampling.sample_uniform_batch(
+            10, 2, RandomStream(15, 0), table=counting.build_table(10))
+        assert all(lam.weight == 10 for lam in parts)
+
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="unknown sampling method"):
             sampling.sample_uniform_batch(5, 1, RandomStream(15, 0), method="bogus")

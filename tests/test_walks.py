@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -258,6 +259,21 @@ class TestConcentrationChecks:
         assert diag.total == pytest.approx(float(diag.per_j.sum()), rel=1e-12)
         assert diag.bound == pytest.approx(8.0 * 100 ** (-0.05))
         assert diag.ci_halfwidth >= 0.0
+
+    def test_ratio_tail_rejects_huge_n_before_allocating(self):
+        # log^3 n = 3.43e8 indices: 2.7 GB per array if it were allocated
+        n, delta = math.exp(700), 0.0066
+        tracemalloc.start()
+        try:
+            for fn in (walks.ratio_tail_bound, walks.ratio_tail_exact):
+                with pytest.raises(ValueError, match="limit"):
+                    fn(n, delta)
+            with pytest.raises(ValueError, match="limit"):
+                walks.ratio_tail_diagnostic(n, delta, 10, RandomStream(23, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
 
     def test_ratio_tail_deterministic(self):
         a = walks.ratio_tail_diagnostic(100, 0.1, 2000, RandomStream(22, 0))
