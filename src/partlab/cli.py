@@ -16,7 +16,6 @@ exit code.
 from __future__ import annotations
 
 import json
-import os
 import sys
 import time
 from datetime import datetime, timezone
@@ -120,7 +119,6 @@ def _emit(*, subcommand, parameters, columns, rows, output_format, out,
         "subcommand": subcommand,
         "parameters": {k: _json_value(v) for k, v in sorted(parameters.items())},
         "seed": seed,
-        "threads": os.environ.get("PARTLAB_THREADS"),
         "provenance": dict(sorted((provenance or {}).items())),
     }
     if text_lines is not None and output_format == "csv":

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats as _sps
 
-from .stats import kahan_cumsum, make_estimate
+from .stats import MC_BLOCK_ELEMENTS, kahan_cumsum, make_estimate
 
 __all__ = [
     "CHOLESKY_CAP",
@@ -148,7 +148,7 @@ def persistence_prob(n, alpha, trials, rng):
     weights = 1.0 / np.arange(1, n + 1)
     hits = 0
     done = 0
-    chunk_cap = max(1, min(trials, (4 * 10**6) // n))
+    chunk_cap = max(1, min(trials, MC_BLOCK_ELEMENTS // n))
     while done < trials:
         chunk = min(chunk_cap, trials - done)
         b = np.cumsum(rng.standard_normal((chunk, n)), axis=1)

@@ -12,6 +12,7 @@ __all__ = [
     "C_SCALE",
     "Z95",
     "EventEstimate",
+    "MC_BLOCK_ELEMENTS",
     "kahan_cumsum",
     "kahan_cumsum_rows",
     "kahan_sum",
@@ -26,6 +27,11 @@ C_SCALE = math.pi / math.sqrt(6.0)
 
 #: Two-sided 95% standard normal quantile.
 Z95 = 1.959963984540054
+
+#: Most float64 variates a Monte Carlo estimator draws in one block
+#: (32 MB); the walk and Gaussian-process estimators size their blocks
+#: of paths by it.
+MC_BLOCK_ELEMENTS = 4 * 10**6
 
 
 def wilson_interval(hits, trials, z=Z95):

@@ -11,10 +11,16 @@ measure the probability of the inequality events tying the surrogate
 to graphicality, plus concentration diagnostics for R_j and for the
 ratios S'_j/S_j.
 
-Monte Carlo draws happen in chunks: each chunk draws the X block, then
-the X' block, then (for paired-uniform needs) any acceptance variates,
-row by row within a block.  That order is part of the determinism
-contract; estimates are bit-reproducible for a fixed seed.
+The event estimators (estimate_event, check_containment) draw their
+paths path-major: each path takes 2m consecutive exponentials from the
+stream, X_1..X_m and then X'_1..X'_m, the order gen_walk uses.  Memory
+is bounded by drawing a block of such rows at a time, and a block of
+rows is the same variates in the same order as its paths drawn one by
+one, so these estimates depend on the seed and stream only, not on the
+block size.  (RandomStream.uniform_open redraws an exact 0.0 after the
+whole block; that has probability 2^-53 per variate.)
+ratio_tail_diagnostic still draws an X block and then an X' block per
+chunk, so its output depends on its chunk size.
 """
 
 from __future__ import annotations
@@ -25,13 +31,21 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betainc
 
-from .stats import C_SCALE, Z95, kahan_cumsum, kahan_cumsum_rows, make_estimate
+from .stats import (
+    C_SCALE,
+    MC_BLOCK_ELEMENTS,
+    Z95,
+    kahan_cumsum,
+    kahan_cumsum_rows,
+    make_estimate,
+)
 
 __all__ = [
     "ContainmentReport",
     "RATIO_TAIL_MAX_INDICES",
     "RatioTailDiagnostic",
     "SurrogateRowsCols",
+    "WALK_MAX_LENGTH",
     "WalkPath",
     "check_containment",
     "check_rj_concentration",
@@ -56,10 +70,17 @@ __all__ = [
     "surrogate_rows_cols",
 ]
 
+#: Most paths drawn in one block by the event estimators.
 _CHUNK = 4096
 #: Most indices j <= ceil(log^3 n) the ratio-tail functions will hold in
 #: memory: 8 MB per float64 array, against 782 indices at n = 10^4.
 RATIO_TAIL_MAX_INDICES = 10**6
+#: Longest path floor(n**gamma) the event estimators accept: 1.6 MB per
+#: path pair, against 9 steps at n = 10^4 and 758 at n = 10^12.
+WALK_MAX_LENGTH = 10**5
+#: Above this, one more step moves log(floor(n**gamma)) by less than
+#: floor_power's slack, so its boundary correction is not applied.
+_FLOOR_POWER_EXACT = 10**9
 
 
 @dataclass(frozen=True)
@@ -98,15 +119,25 @@ def gen_walk(m, rng):
 def floor_power(n, gamma):
     """floor(n**gamma) guarded against floating error at integer boundaries.
 
-    Comparisons run in log space with 1e-12 slack so that, e.g.,
-    floor((10**4)**0.25) comes out 10 even though the float power
-    evaluates just below 10.  Exact boundaries within the slack round
-    up, which matches the mathematically exact value.
+    Everything runs in log space, so an integer n of any size works.
+    Comparisons use 1e-12 slack so that, e.g., floor((10**4)**0.25)
+    comes out 10 even though the float power evaluates just below 10.
+    Exact boundaries within the slack round up, which matches the
+    mathematically exact value.  Results above 10^9 are the floor of
+    the float exp(gamma log n), since the slack cannot resolve one step
+    there.  Raises ValueError when n**gamma exceeds the float range.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     target = gamma * math.log(n)
-    out = max(int(n**gamma), 1)
+    try:
+        out = max(int(math.exp(target)), 1)
+    except OverflowError:
+        raise ValueError(
+            f"n**gamma = exp({target:.6g}) is beyond the float range"
+        ) from None
+    if out > _FLOOR_POWER_EXACT:
+        return out
     while math.log(out + 1) <= target + 1e-12:
         out += 1
     while out > 1 and math.log(out) > target + 1e-12:
@@ -207,6 +238,53 @@ def log_cube(n):
     return math.ceil(math.log(n) ** 3)
 
 
+def _walk_length(n, gamma):
+    """floor(n**gamma) for an estimator about to draw paths that long.
+
+    Raises ValueError, before anything is allocated, for gamma outside
+    (0, 1/4) and for lengths above WALK_MAX_LENGTH.
+    """
+    if not 0.0 < gamma < 0.25:
+        raise ValueError("gamma must lie in (0, 1/4)")
+    length = floor_power(n, gamma)
+    if length > WALK_MAX_LENGTH:
+        raise ValueError(
+            f"floor(n**gamma) = {length} steps, above the limit of {WALK_MAX_LENGTH}"
+        )
+    return length
+
+
+def _walk_blocks(length, trials, rng):
+    """Prefix sums S, S' of ``trials`` paths, one block of rows at a time.
+
+    Each path takes 2*length consecutive exponentials, X then X' (the
+    order of gen_walk), and a block holds at most MC_BLOCK_ELEMENTS of
+    them, so the paths do not depend on the block size.  Yields (s, sp),
+    two (rows, length) views of one block.
+    """
+    cap = max(1, min(_CHUNK, MC_BLOCK_ELEMENTS // (2 * length)))
+    done = 0
+    while done < trials:
+        rows = min(cap, trials - done)
+        walk = rng.exponential((rows, 2 * length)).reshape(rows, 2, length)
+        np.cumsum(walk, axis=2, out=walk)
+        yield walk[:, 0], walk[:, 1]
+        done += rows
+
+
+def _eg_rows(n, s, sp):
+    """event_eg_surrogate on every row of a block."""
+    lhs = np.cumsum(_row_values(n, s), axis=1)
+    rhs = np.cumsum(_row_values(n, sp), axis=1) + np.arange(1, s.shape[1] + 1)
+    return np.all(lhs >= rhs, axis=1)
+
+
+def _log_ratio_min_rows(s, sp):
+    """Per row, the least prefix sum of log(S'_j) - log(S_j): the path
+    meets event_log at threshold t iff this is >= t."""
+    return kahan_cumsum_rows(np.log(sp) - np.log(s)).min(axis=1)
+
+
 def estimate_event(kind, n, gamma, delta, trials, rng, *,
                    threshold=-1.0, multiplier=5.0):
     """Monte Carlo probability of a named surrogate event.
@@ -215,42 +293,30 @@ def estimate_event(kind, n, gamma, delta, trials, rng, *,
     log-ratio sums staying above ``threshold``; 'headline':
     min_weighted_stat over floor(n**gamma) indices staying at or above
     -multiplier * n^(delta/2) * ceil(log^(3/2) n) (requires delta).
-    Walks are generated in chunks (X block then X' block); per-row
-    evaluation matches the single-path event functions exactly.
+    Paths are drawn path-major in blocks (see the module docstring), so
+    the result does not depend on the block size; per-row evaluation
+    matches the single-path event functions on gen_walk's paths.
     """
     if kind not in ("eg", "log", "headline"):
         raise ValueError(f"unknown event kind {kind!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if not 0.0 < gamma < 0.25:
-        raise ValueError("gamma must lie in (0, 1/4)")
+    length = _walk_length(n, gamma)
     if kind == "headline":
         if delta is None or delta <= 0:
             raise ValueError("headline event needs delta > 0")
         cut = headline_threshold(n, delta, multiplier)
-    length = floor_power(n, gamma)
+        jj = np.arange(1, length + 1, dtype=np.float64)
 
     hits = 0
-    done = 0
-    while done < trials:
-        chunk = min(_CHUNK, trials - done)
-        x = rng.exponential((chunk, length))
-        xp = rng.exponential((chunk, length))
-        s = np.cumsum(x, axis=1)
-        sp = np.cumsum(xp, axis=1)
+    for s, sp in _walk_blocks(length, trials, rng):
         if kind == "eg":
-            lhs = np.cumsum(_row_values(n, s), axis=1)
-            rhs = np.cumsum(_row_values(n, sp), axis=1) + np.arange(1, length + 1)
-            ok = np.all(lhs >= rhs, axis=1)
+            ok = _eg_rows(n, s, sp)
         elif kind == "log":
-            prefix = kahan_cumsum_rows(np.log(sp) - np.log(s))
-            ok = prefix.min(axis=1) >= threshold
+            ok = _log_ratio_min_rows(s, sp) >= threshold
         else:
-            jj = np.arange(1, length + 1, dtype=np.float64)
-            prefix = kahan_cumsum_rows((sp - s) / jj)
-            ok = prefix.min(axis=1) >= cut
-        hits += int(ok.sum())
-        done += chunk
+            ok = kahan_cumsum_rows((sp - s) / jj).min(axis=1) >= cut
+        hits += int(np.count_nonzero(ok))
     return make_estimate(kind, hits, trials, n=n, gamma=gamma, delta=delta)
 
 
@@ -275,22 +341,25 @@ def check_containment(n, gamma, trials, rng):
 
     The ceiling inequalities give eg => log(0) => log(-1) on every
     single path (not merely in distribution); the report counts any
-    violations, which should be zero.
+    violations, which should be zero.  Paths are those of gen_walk
+    called ``trials`` times on ``rng``, drawn in blocks as in
+    estimate_event; one log-ratio prefix minimum per path serves both
+    log thresholds.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    length = floor_power(n, gamma)
+    length = _walk_length(n, gamma)
     eg_hits = log0 = logneg1 = bad01 = bad12 = 0
-    for _ in range(trials):
-        path = gen_walk(length, rng)
-        a = event_eg_surrogate(n, gamma, path)
-        b = event_log(n, gamma, path, threshold=0.0)
-        c = event_log(n, gamma, path, threshold=-1.0)
-        eg_hits += a
-        log0 += b
-        logneg1 += c
-        bad01 += a and not b
-        bad12 += b and not c
+    for s, sp in _walk_blocks(length, trials, rng):
+        a = _eg_rows(n, s, sp)
+        low = _log_ratio_min_rows(s, sp)
+        b = low >= 0.0
+        c = low >= -1.0
+        eg_hits += int(np.count_nonzero(a))
+        log0 += int(np.count_nonzero(b))
+        logneg1 += int(np.count_nonzero(c))
+        bad01 += int(np.count_nonzero(a & ~b))
+        bad12 += int(np.count_nonzero(b & ~c))
     return ContainmentReport(
         trials=trials,
         eg_hits=eg_hits,
@@ -437,7 +506,7 @@ def ratio_tail_diagnostic(n, delta, trials, rng):
     path_sum = 0.0
     path_sumsq = 0.0
     done = 0
-    chunk_cap = max(1, min(trials, (4 * 10**6) // count))
+    chunk_cap = max(1, min(trials, MC_BLOCK_ELEMENTS // count))
     while done < trials:
         chunk = min(chunk_cap, trials - done)
         s = np.cumsum(rng.exponential((chunk, count)), axis=1)

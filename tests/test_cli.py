@@ -171,6 +171,15 @@ class TestSurrogate:
         assert res.exit_code == 2
         assert res.output == "error: headline event needs delta > 0\n"
 
+    @pytest.mark.parametrize("n", [10**30, 10**400])
+    def test_overlong_paths_rejected_in_one_line(self, runner, n):
+        res = runner.invoke(main, ["surrogate", "--event", "eg", "--n", str(n),
+                                   "--gamma", "0.24", "--trials", "10", "--seed", "1"])
+        assert res.exit_code == 2
+        assert res.output.startswith("error: floor(n**gamma) = ")
+        assert res.output.endswith(" steps, above the limit of 100000\n")
+        assert res.output.count("\n") == 1
+
     def test_headline_with_delta(self, runner):
         res = runner.invoke(main, ["surrogate", "--event", "headline", "--n", "1000",
                                    "--gamma", "0.2", "--delta", "0.0066",
@@ -261,6 +270,16 @@ class TestOutputFiles:
         assert side["subcommand"] == "exact"
         assert "created_utc" in side
         assert "duration_s" in side
+
+    def test_payload_ignores_environment(self, runner, monkeypatch):
+        args = ["estimate-p", "--n", "12", "--trials", "300", "--seed", "7",
+                "--output", "json"]
+        monkeypatch.delenv("PARTLAB_THREADS", raising=False)
+        plain = runner.invoke(main, args)
+        monkeypatch.setenv("PARTLAB_THREADS", "2")
+        threaded = runner.invoke(main, args)
+        assert plain.exit_code == 0
+        assert threaded.output_bytes == plain.output_bytes
 
     def test_payload_identical_across_reruns(self, runner, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -1,5 +1,5 @@
-"""Property tests: ranking, conjugation and the two graphicality tests
-on generated inputs."""
+"""Property tests: ranking, conjugation, the two graphicality tests and
+Kostka positivity against dominance, on generated inputs."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,8 +8,10 @@ from partlab import counting, sampling
 from partlab.partitions import (
     Partition,
     conjugate,
+    dominates,
     is_graphical_eg,
     is_graphical_hh,
+    kostka,
 )
 from partlab.rng import RandomStream
 
@@ -41,3 +43,15 @@ def test_graphicality_tests_agree_on_sampled_partitions(seed):
     parts, _ = sampling.sample_fristedt_batch(
         1000, 1, RandomStream(seed, 0), pdc=True)
     assert is_graphical_eg(parts[0]) == is_graphical_hh(parts[0])
+
+
+@SETTINGS
+@given(st.data())
+def test_kostka_positive_exactly_under_dominance(data):
+    # K_{lam,mu} > 0 iff mu <= lam in dominance order
+    n = data.draw(st.integers(0, 10), label="n")
+    lam, mu = (
+        counting.unrank(TABLE, n, data.draw(st.integers(0, TABLE.count(n) - 1), label=label))
+        for label in ("lam", "mu")
+    )
+    assert (kostka(lam, mu) > 0) == dominates(mu, lam)

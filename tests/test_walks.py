@@ -66,6 +66,13 @@ class TestFloorPower:
         with pytest.raises(ValueError):
             walks.floor_power(0, 0.2)
 
+    def test_huge_n_in_log_space(self):
+        assert walks.floor_power(10**30, 0.24) == 15848931
+        out = walks.floor_power(10**400, 0.24)
+        assert abs(math.log10(out) - 96.0) < 1e-12
+        with pytest.raises(ValueError, match="float range"):
+            walks.floor_power(10**5000, 0.24)
+
 
 class TestSurrogateValues:
     def test_unit_first_sum_at_n_1e4(self):
@@ -200,13 +207,11 @@ class TestEstimateEvent:
             est = walks.estimate_event(
                 kind, n, gamma, delta, trials, RandomStream(15, 3), **kwargs
             )
-            # replay the chunked draw order: X matrix then X' matrix
+            # replay the path-major draw order: each path's X, then its X'
             rng = RandomStream(15, 3)
-            x = rng.exponential((trials, length))
-            xp = rng.exponential((trials, length))
             hits = 0
-            for i in range(trials):
-                w = _path_from_increments(x[i], xp[i])
+            for _ in range(trials):
+                w = walks.gen_walk(length, rng)
                 if kind == "eg":
                     hits += walks.event_eg_surrogate(n, gamma, w)
                 elif kind == "log":
@@ -222,6 +227,36 @@ class TestEstimateEvent:
         b = walks.estimate_event("eg", 500, 0.2, None, 300, RandomStream(16, 0))
         assert a == b
 
+    def test_long_paths_stay_within_the_block_budget(self):
+        # 10^5 steps per path: 100 paths drawn at once would take 160 MB
+        # per array; blocks of 20 paths keep each array at 32 MB
+        n, gamma = 10**25, 0.2
+        assert walks.floor_power(n, gamma) == walks.WALK_MAX_LENGTH
+        tracemalloc.start()
+        try:
+            est = walks.estimate_event("eg", n, gamma, None, 100, RandomStream(16, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.trials == 100
+        assert peak < 4 * 8 * walks.MC_BLOCK_ELEMENTS
+
+
+def _containment_replay(n, gamma, trials, rng):
+    """check_containment as a loop over single paths and the per-path
+    event functions."""
+    length = walks.floor_power(n, gamma)
+    eg = log0 = logneg1 = bad01 = bad12 = 0
+    for _ in range(trials):
+        path = walks.gen_walk(length, rng)
+        a = walks.event_eg_surrogate(n, gamma, path)
+        b = walks.event_log(n, gamma, path, threshold=0.0)
+        c = walks.event_log(n, gamma, path, threshold=-1.0)
+        eg, log0, logneg1 = eg + a, log0 + b, logneg1 + c
+        bad01 += a and not b
+        bad12 += b and not c
+    return walks.ContainmentReport(trials, eg, log0, logneg1, bad01, bad12)
+
 
 class TestContainment:
     def test_chain_holds_on_sample(self):
@@ -233,6 +268,68 @@ class TestContainment:
     def test_trials_validated(self):
         with pytest.raises(ValueError):
             walks.check_containment(1000, 0.2, 0, RandomStream(18, 0))
+
+    def test_gamma_validated(self):
+        for gamma in (0.0, 0.25, 0.3, -0.1):
+            with pytest.raises(ValueError, match="gamma"):
+                walks.check_containment(1000, gamma, 10, RandomStream(18, 0))
+
+    @pytest.mark.parametrize("n, gamma, trials, seed", [
+        (10**4, 0.24, 1500, 31),
+        (1000, 0.2, 1000, 32),
+        (10**12, 0.24, 150, 33),
+        (50, 0.1, 400, 34),
+    ])
+    def test_matches_per_path_replay(self, n, gamma, trials, seed):
+        got = walks.check_containment(n, gamma, trials, RandomStream(seed, 10))
+        assert got == _containment_replay(n, gamma, trials, RandomStream(seed, 10))
+
+    def test_tallies_match_estimate_event(self):
+        n, gamma, trials = 10**4, 0.24, 3000
+        rep = walks.check_containment(n, gamma, trials, RandomStream(35, 2))
+        hits = [
+            walks.estimate_event(kind, n, gamma, None, trials, RandomStream(35, 2),
+                                 threshold=threshold).hits
+            for kind, threshold in (("eg", -1.0), ("log", 0.0), ("log", -1.0))
+        ]
+        assert [rep.eg_hits, rep.log0_hits, rep.logneg1_hits] == hits
+
+
+def _walk_results(n, gamma, trials):
+    report = walks.check_containment(n, gamma, trials, RandomStream(20260816, 0))
+    hits = [
+        walks.estimate_event(kind, n, gamma, 0.01, trials, RandomStream(20260816, 0),
+                             threshold=threshold, multiplier=0.1).hits
+        for kind, threshold in (("eg", -1.0), ("log", 0.0), ("log", -1.0),
+                                ("headline", -1.0))
+    ]
+    return report, hits
+
+
+@pytest.mark.parametrize("n, gamma, trials", [(1000, 0.2, 5000), (10**12, 0.24, 60)])
+def test_walk_estimators_do_not_depend_on_block_size(monkeypatch, n, gamma, trials):
+    results = []
+    full = walks.MC_BLOCK_ELEMENTS
+    for chunk, budget in ((4096, full), (1000, full), (7, full), (4096, 10**4)):
+        monkeypatch.setattr(walks, "_CHUNK", chunk)
+        monkeypatch.setattr(walks, "MC_BLOCK_ELEMENTS", budget)
+        results.append(_walk_results(n, gamma, trials))
+    assert all(r == results[0] for r in results[1:])
+
+
+def test_walk_estimators_reject_long_paths_before_allocating():
+    # floor(n**0.24) is 15,848,931 at n = 10^30 and about 10^96 at 10^400
+    tracemalloc.start()
+    try:
+        for n in (10**30, 10**400):
+            with pytest.raises(ValueError, match="above the limit of 100000"):
+                walks.estimate_event("eg", n, 0.24, None, 10, RandomStream(36, 0))
+            with pytest.raises(ValueError, match="above the limit of 100000"):
+                walks.check_containment(n, 0.24, 10, RandomStream(36, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
 
 
 class TestConcentrationChecks:
