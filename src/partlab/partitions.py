@@ -61,6 +61,16 @@ class Partition:
         return self._weight
 
     @classmethod
+    def from_sorted(cls, parts):
+        """Trusted constructor: ``parts`` must already be positive ints
+        in non-increasing order, as a sampler produces them; nothing is
+        checked."""
+        lam = cls.__new__(cls)
+        lam._parts = tuple(parts)
+        lam._weight = sum(lam._parts)
+        return lam
+
+    @classmethod
     def from_text(cls, text):
         """Parse the comma-separated form, e.g. ``"4,2,1,1"``.
 

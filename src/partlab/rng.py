@@ -56,8 +56,15 @@ class RandomStream:
         return u
 
     def exponential(self, size=None):
-        """Mean-1 exponentials by inverse CDF on open-interval uniforms."""
-        return -np.log(self.uniform_open(size))
+        """Mean-1 exponentials by inverse CDF on open-interval uniforms.
+
+        Arrays are transformed in place, so a block costs its own size
+        in memory and no more."""
+        if size is None:
+            return -np.log(self.uniform_open())
+        u = self.uniform_open(size)
+        np.log(u, out=u)
+        return np.negative(u, out=u)
 
     def standard_normal(self, size=None):
         return self._gen.standard_normal(size)

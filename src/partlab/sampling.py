@@ -15,33 +15,48 @@ Two sampling families share the RandomStream plumbing:
   Boltzmann factor q^(residual), which preserves exact uniformity and
   boosts the acceptance rate by roughly sqrt(n).
 
-Internally each attempt draws dense multiplicities only for parts up
-to K ~ 12 sqrt(n)/c; parts above K appear with probability at most
-e^-12 each, so their joint outcome is sampled by inverting the
-first-success law along precomputed log-survival prefix sums.  This is
-distributionally identical to drawing every geometric separately and
-keeps one attempt at O(sqrt n) instead of O(n).
+Boltzmann attempts are drawn ``_BATCH`` at a time.  Parts up to the
+head cutoff K = min(n, ceil(3 sqrt(n)/c)) get dense multiplicities,
+floor(log u / (k log q)), computed in place on one block of uniforms.
+A part k > K appears with probability q^k <= e^-3, so the parts above
+K are drawn sparsely, in rounds over every attempt of the block still
+in play: each round draws one exponential target per attempt, finds by
+``searchsorted`` on the log-survival sums -log P(no part in (K, j])
+its next part with a positive multiplicity (or that it has none left),
+and draws that multiplicity conditioned to be positive.  This inverts
+the first-success law exactly, so the samples are uniform for any K.
+
+Accepted samples come back as a :class:`PartitionBatch` in
+multiplicity form: an integer matrix of the multiplicities of parts
+1..K (for ``pdc`` the count of part 1 is the residual) and sparse
+(row, part, multiplicity) triples for the parts above K.  The
+estimators run the Erdos-Gallai and dominance tests on that form with
+array code; ``Partition`` objects are built only when a batch is
+iterated.  The exact sampler's draws are packed into the same form, so
+each estimator has one test path.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
 
 import numpy as np
 
 from .counting import build_table, unrank
-from .partitions import Partition, dominates, is_graphical_eg
+from .partitions import Partition
 from .stats import C_SCALE, make_estimate
 
 __all__ = [
+    "BOLTZMANN_MAX_N",
     "EXACT_TABLE_CAP",
+    "PartitionBatch",
     "RejectionLimitError",
     "estimate_p_mc",
     "estimate_r_mc",
     "fristedt_q",
     "sample_exact_uniform",
-    "sample_fristedt",
     "sample_fristedt_batch",
     "sample_uniform_batch",
 ]
@@ -50,6 +65,10 @@ _BATCH = 512
 #: Largest n for which method 'exact' builds its own counting table:
 #: (n+1)^2 big-integer cells, about 1 s and 210 MB at n = 2000.
 EXACT_TABLE_CAP = 2000
+#: Largest n the Boltzmann samplers accept.  One block of attempts
+#: holds _BATCH * 3 sqrt(n)/c doubles, 30 MB at n = 10^7, and each
+#: accepted sample needs of order sqrt(n) log(n) parts.
+BOLTZMANN_MAX_N = 10**7
 
 
 class RejectionLimitError(RuntimeError):
@@ -75,131 +94,272 @@ def sample_exact_uniform(table, n, rng):
     return unrank(table, n, rng.integer_below(table.count(n)))
 
 
+def _head_size(n):
+    """Dense head cutoff K = min(n, ceil(3 sqrt(n)/c)).  It is at least
+    floor(sqrt(n)), which bounds the Durfee square."""
+    return min(n, math.ceil(3.0 * math.sqrt(n) / C_SCALE))
+
+
+class PartitionBatch:
+    """Partitions of one weight n in multiplicity form.
+
+    ``head[r, k-1]`` is the multiplicity of part k in row r for
+    k = 1..K, K = min(n, ceil(3 sqrt(n)/c)).  Parts above K are the
+    sparse triples ``tail_row``, ``tail_part``, ``tail_mult``, kept
+    sorted by row and then part.  Indexing with an int, or iterating,
+    builds :class:`Partition` objects; indexing with a slice selects
+    rows.
+    """
+
+    def __init__(self, n, head, tail_row, tail_part, tail_mult):
+        order = np.lexsort((tail_part, tail_row))
+        self.n = n
+        self.head = np.asarray(head, dtype=np.int64)
+        self.tail_row = np.asarray(tail_row, dtype=np.int64)[order]
+        self.tail_part = np.asarray(tail_part, dtype=np.int64)[order]
+        self.tail_mult = np.asarray(tail_mult, dtype=np.int64)[order]
+
+    @classmethod
+    def from_partitions(cls, n, partitions):
+        """Pack partitions of weight n into multiplicity form."""
+        K = _head_size(n)
+        rows = len(partitions)
+        lengths = [len(lam) for lam in partitions]
+        row = np.repeat(np.arange(rows), lengths)
+        part = np.fromiter(itertools.chain.from_iterable(partitions),
+                           dtype=np.int64, count=sum(lengths))
+        small = part <= K
+        head = np.bincount(row[small] * K + part[small] - 1,
+                           minlength=rows * K).reshape(rows, K)
+        key, mult = np.unique(row[~small] * (n + 1) + part[~small],
+                              return_counts=True)
+        return cls(n, head, key // (n + 1), key % (n + 1), mult)
+
+    def __len__(self):
+        return len(self.head)
+
+    def _partition(self, r, lo, hi):
+        tail = np.repeat(self.tail_part[lo:hi][::-1], self.tail_mult[lo:hi][::-1])
+        head = np.repeat(np.arange(self.head.shape[1], 0, -1), self.head[r, ::-1])
+        return Partition.from_sorted(tail.tolist() + head.tolist())
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return self._select(np.arange(len(self))[key])
+        r = range(len(self))[key]
+        lo, hi = np.searchsorted(self.tail_row, [r, r + 1])
+        return self._partition(r, lo, hi)
+
+    def __iter__(self):
+        bounds = np.searchsorted(self.tail_row, np.arange(len(self) + 1))
+        return (self._partition(r, bounds[r], bounds[r + 1])
+                for r in range(len(self)))
+
+    def __eq__(self, other):
+        if not isinstance(other, PartitionBatch):
+            return NotImplemented
+        return self.n == other.n and all(
+            np.array_equal(a, b) for a, b in (
+                (self.head, other.head), (self.tail_row, other.tail_row),
+                (self.tail_part, other.tail_part), (self.tail_mult, other.tail_mult)))
+
+    def _select(self, rows):
+        index = np.full(len(self), -1, dtype=np.int64)
+        index[rows] = np.arange(len(rows))
+        keep = index[self.tail_row] >= 0
+        return PartitionBatch(self.n, self.head[rows], index[self.tail_row[keep]],
+                              self.tail_part[keep], self.tail_mult[keep])
+
+    def _conj(self):
+        """conj_i, the number of parts >= i, for i = 1..K."""
+        above = np.bincount(self.tail_row, weights=self.tail_mult, minlength=len(self))
+        suffix = np.cumsum(self.head[:, ::-1], axis=1)[:, ::-1]
+        return suffix + above.astype(np.int64)[:, None]
+
+    def _leading(self, conj, count):
+        # lam_j = #{i : conj_i >= j}; the i <= K share comes from a
+        # histogram of conj capped at count, the i > K share from the
+        # j-th largest tail part t_j as t_j - K
+        rows, K = self.head.shape
+        capped = np.minimum(conj, count) + (count + 1) * np.arange(rows)[:, None]
+        hist = np.bincount(capped.ravel(), minlength=rows * (count + 1))
+        lead = np.cumsum(hist.reshape(rows, count + 1)[:, ::-1], axis=1)[:, -2::-1]
+        row = np.repeat(self.tail_row, self.tail_mult)
+        part = np.repeat(self.tail_part, self.tail_mult)
+        rank = np.searchsorted(row, row, side="right") - 1 - np.arange(len(row))
+        keep = rank < count
+        lead[row[keep], rank[keep]] += part[keep] - K
+        return lead
+
+    def leading_parts(self, count):
+        """Matrix of the ``count`` largest parts of each row, padded
+        with zeros."""
+        return self._leading(self._conj(), count)
+
+    def graphical(self):
+        """Erdos-Gallai test of every row; agrees with
+        ``partitions.is_graphical_eg``.  Only i up to the Durfee size,
+        at most floor(sqrt(n)) <= K, is tested."""
+        if self.n % 2:
+            return np.zeros(len(self), dtype=bool)
+        top = math.isqrt(self.n)
+        i = np.arange(1, top + 1)
+        conj = self._conj()
+        lam = self._leading(conj, top)
+        slack = np.cumsum(conj[:, :top] - lam, axis=1) - i
+        durfee = (lam >= i).sum(axis=1)
+        return ((slack >= 0) | (i > durfee[:, None])).all(axis=1)
+
+    def _excess_tail(self, row, k):
+        """E_k = sum_{p > k} (p - k) m_p of the given rows at k >= K,
+        where only tail parts count."""
+        n1 = self.n + 1
+        key = self.tail_row * n1 + self.tail_part
+        mass = np.append(np.cumsum((self.tail_part * self.tail_mult)[::-1])[::-1], 0)
+        size = np.append(np.cumsum(self.tail_mult[::-1])[::-1], 0)
+        lo = np.searchsorted(key, row * n1 + k, side="right")
+        hi = np.searchsorted(key, (row + 1) * n1)
+        return (mass[lo] - mass[hi]) - k * (size[lo] - size[hi])
+
+    def _excess_head(self):
+        """E_k for k = 0..K, one row per partition: E_K from the tail
+        plus the sum of conj_i over i = k+1..K."""
+        rows, K = self.head.shape
+        out = np.empty((rows, K + 1), dtype=np.int64)
+        out[:, K] = self._excess_tail(np.arange(rows), np.full(rows, K))
+        out[:, :K] = np.cumsum(self._conj()[:, ::-1], axis=1)[:, ::-1] + out[:, K:]
+        return out
+
+    def dominated_by(self, other):
+        """Row-wise dominance self[r] <= other[r]; agrees with
+        ``partitions.dominates``.
+
+        lam <= mu iff E_k(lam) <= E_k(mu) for every k >= 0, where E_k
+        counts the cells right of column k.  E_k is linear in k between
+        part sizes, so k = 0..K and every tail part size of either row
+        suffice.
+        """
+        if other.n != self.n or len(other) != len(self):
+            raise ValueError("dominance needs two batches of one weight and size")
+        ok = (self._excess_head() <= other._excess_head()).all(axis=1)
+        row = np.concatenate((self.tail_row, other.tail_row))
+        k = np.concatenate((self.tail_part, other.tail_part))
+        ok[row[self._excess_tail(row, k) > other._excess_tail(row, k)]] = False
+        return ok
+
+
 @lru_cache(maxsize=16)
 def _boltzmann_plan(n):
     """Per-n precomputation: q, head cutoff K, tail log-survival sums.
 
-    The tail array holds -log P(no part in (K, j]) for j = K+1..n,
-    strictly increasing, so a single uniform locates the first part
-    size above K by searchsorted, and the law restarts after a hit.
+    The tail array holds -log P(no part in (K, j]) for j = K+1, K+2, ...,
+    strictly increasing, so a single exponential target locates the
+    first part size above K by searchsorted, and the law restarts after
+    a hit.  The array ends where its float64 sum stops changing (about
+    25 sqrt(n) entries): the full array would only repeat the last
+    value, so every searchsorted decision is the same.
     """
     q = fristedt_q(n)
-    K = min(n, math.ceil(12.0 * math.sqrt(n) / C_SCALE))
-    ks = np.arange(K + 1, n + 1, dtype=np.float64)
+    K = _head_size(n)
+    # beyond 60 sqrt(n)/c terms, q^k < e^-60, far under half an ulp of the sum
+    span = min(n - K, math.ceil(60.0 * math.sqrt(n) / C_SCALE))
+    ks = np.arange(K + 1, K + span + 1, dtype=np.float64)
     neg_prefix = -np.cumsum(np.log1p(-np.exp(ks * math.log(q))))
-    return q, K, neg_prefix
+    grows = np.flatnonzero(np.diff(neg_prefix))
+    stop = grows[-1] + 2 if len(grows) else min(span, 1)
+    return q, K, neg_prefix[:stop]
 
 
-def _draw_tail(rng, q, K, neg_prefix, first_target):
-    """Multiplicities above the dense head for one attempt.
-
-    ``first_target`` is the (precomputed) exponential variate locating
-    the first hit; further hits draw fresh variates.  Returns a list of
-    (part, multiplicity) with parts increasing.
-    """
-    out = []
-    logq = math.log(q)
-    target = first_target
+def _tail_rounds(rng, rows, logq, K, neg_prefix):
+    """Parts above K for the attempts ``rows`` of a block, as arrays
+    (row, part, multiplicity).  Each round draws one exponential target
+    per attempt still in play; an attempt whose target passes the last
+    log-survival sum has no further part."""
+    found = [(rows[:0], rows[:0], rows[:0])]
     base = 0.0
-    while True:
-        idx = int(np.searchsorted(neg_prefix, base + target, side="left"))
-        if idx >= len(neg_prefix):
-            return out
+    while len(rows) and len(neg_prefix):
+        idx = np.searchsorted(neg_prefix, base + rng.exponential(len(rows)))
+        hit = idx < len(neg_prefix)
+        if not hit.any():
+            break
+        rows, idx = rows[hit], idx[hit]
         part = K + 1 + idx
-        mult = 1 + int(math.log(rng.uniform_open()) // (part * logq))
-        out.append((part, mult))
+        mult = 1 + np.floor(np.log(rng.uniform_open(len(rows))) / (part * logq))
+        found.append((rows, part, mult.astype(np.int64)))
         base = neg_prefix[idx]
-        target = -math.log1p(-rng.uniform_open())
+    return tuple(np.concatenate(column) for column in zip(*found))
 
 
 def sample_fristedt_batch(n, count, rng, *, max_rejections=10**7, pdc=False):
-    """Draw ``count`` uniform partitions of n; returns (partitions, attempts).
+    """Draw ``count`` uniform partitions of n; returns (PartitionBatch,
+    attempts).
 
-    ``attempts`` counts every candidate generated, accepted ones
-    included, so attempts/count estimates the inverse acceptance rate.
-    Raises RejectionLimitError once the number of rejected attempts
-    exceeds ``max_rejections``.
+    ``attempts`` counts the candidates up to and including the
+    ``count``-th acceptance, so attempts/count estimates the inverse
+    acceptance rate.  Raises RejectionLimitError at the rejection, in
+    attempt order, that takes the rejected attempts past
+    ``max_rejections``.  n above BOLTZMANN_MAX_N is refused before
+    anything is allocated.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if count < 0:
         raise ValueError("count must be nonnegative")
+    if n > BOLTZMANN_MAX_N:
+        raise ValueError(
+            f"n = {n} above the Boltzmann sampler limit {BOLTZMANN_MAX_N}"
+        )
     q, K, neg_prefix = _boltzmann_plan(n)
     logq = math.log(q)
-    first_k = 2 if pdc else 1
-    ks = np.arange(first_k, K + 1, dtype=np.int64)
-    denom = ks.astype(np.float64) * logq
-    have_tail = len(neg_prefix) > 0
+    ks = np.arange(2 if pdc else 1, K + 1, dtype=np.float64)
+    denom = ks * logq
 
-    out = []
-    attempts = 0
-    rejections = 0
-    while len(out) < count:
-        u = rng.uniform_open((_BATCH, len(ks)))
-        mults = np.floor(np.log(u) / denom).astype(np.int64)
-        weights = mults @ ks
-        if have_tail:
-            first_targets = -np.log1p(-rng.uniform_open(_BATCH))
-            tail_hit = first_targets <= neg_prefix[-1]
-        else:
-            tail_hit = np.zeros(_BATCH, dtype=bool)
-        tails = [None] * _BATCH
-        for i in np.nonzero(tail_hit)[0]:
-            t = _draw_tail(rng, q, K, neg_prefix, float(first_targets[i]))
-            tails[i] = t
-            weights[i] += sum(p * m for p, m in t)
+    empty = np.zeros(0, dtype=np.int64)
+    heads, tails = [np.zeros((0, K), dtype=np.int64)], [(empty, empty, empty)]
+    accepted = attempts = 0
+    while accepted < count:
+        mults = rng.uniform_open((_BATCH, len(ks)))
+        np.log(mults, out=mults)
+        mults /= denom
+        np.floor(mults, out=mults)
+        weight = mults @ ks
+        # the tail only adds weight, so attempts already over n skip it
+        row, part, mult = _tail_rounds(
+            rng, np.flatnonzero(weight <= n), logq, K, neg_prefix)
+        weight += np.bincount(row, weights=part * mult, minlength=_BATCH)
+        residual = n - weight
         if pdc:
-            residual = n - weights
-            accept_u = rng.uniform(_BATCH)
             ok = (residual >= 0) & (
-                accept_u < np.exp(np.clip(residual, 0, None) * logq)
-            )
+                rng.uniform(_BATCH) < np.exp(np.clip(residual, 0, None) * logq))
         else:
-            residual = np.zeros(_BATCH, dtype=np.int64)
-            ok = weights == n
+            ok = residual == 0
 
-        for i in range(_BATCH):
-            attempts += 1
-            if ok[i]:
-                out.append(_materialize(ks, mults[i], tails[i], int(residual[i])))
-                if len(out) == count:
-                    break
-            else:
-                rejections += 1
-                if rejections > max_rejections:
-                    raise RejectionLimitError(n, rejections)
-    return out, attempts
+        need = count - accepted
+        took = np.flatnonzero(ok)[:need]
+        seen = int(took[-1]) + 1 if len(took) == need else _BATCH
+        # rejections so far are attempts - accepted
+        if attempts + seen - accepted - len(took) > max_rejections:
+            raise RejectionLimitError(n, max_rejections + 1)
+        attempts += seen
 
+        head = np.empty((len(took), K), dtype=np.int64)
+        head[:, K - len(ks):] = mults[took]
+        if pdc:
+            head[:, 0] = residual[took]
+        index = np.full(_BATCH, -1, dtype=np.int64)
+        index[took] = np.arange(accepted, accepted + len(took))
+        keep = index[row] >= 0
+        heads.append(head)
+        tails.append((index[row[keep]], part[keep], mult[keep]))
+        accepted += len(took)
 
-def _materialize(ks, mult_row, tail, ones):
-    parts = []
-    if tail:
-        for part, mult in reversed(tail):
-            parts.extend([part] * mult)
-    head = np.repeat(ks, mult_row)[::-1].tolist()
-    parts.extend(head)
-    if ones:
-        parts.extend([1] * ones)
-    return Partition(parts)
+    row, part, mult = (np.concatenate(column) for column in zip(*tails))
+    return PartitionBatch(n, np.concatenate(heads), row, part, mult), attempts
 
 
-def sample_fristedt(n, rng, max_rejections=10**7, *, pdc=False):
-    """One uniform partition of n by geometric-multiplicity rejection."""
-    parts, _ = sample_fristedt_batch(
-        n, 1, rng, max_rejections=max_rejections, pdc=pdc
-    )
-    return parts[0]
-
-
-def sample_uniform_batch(n, count, rng, *, method="exact", table=None,
-                         max_rejections=10**7):
-    """Draw ``count`` uniform partitions of n with the named method.
-
-    method: 'exact' (unranking; builds a table up to n when none is
-    passed, for n up to EXACT_TABLE_CAP), 'fristedt' (plain rejection),
-    or 'fristedt-pdc'.  Returns (partitions, attempts); for 'exact',
-    attempts == count.
-    """
+def _draw(n, count, rng, method, table, max_rejections):
+    """(PartitionBatch, attempts) from the named method; see
+    sample_uniform_batch."""
     if method == "exact":
         if table is None:
             if n > EXACT_TABLE_CAP:
@@ -208,14 +368,25 @@ def sample_uniform_batch(n, count, rng, *, method="exact", table=None,
                     f"{EXACT_TABLE_CAP}; use method 'fristedt-pdc'"
                 )
             table = build_table(n)
-        return [sample_exact_uniform(table, n, rng) for _ in range(count)], count
-    if method == "fristedt":
-        return sample_fristedt_batch(n, count, rng, max_rejections=max_rejections)
-    if method == "fristedt-pdc":
-        return sample_fristedt_batch(
-            n, count, rng, max_rejections=max_rejections, pdc=True
-        )
+        drawn = [sample_exact_uniform(table, n, rng) for _ in range(count)]
+        return PartitionBatch.from_partitions(n, drawn), count
+    if method in ("fristedt", "fristedt-pdc"):
+        return sample_fristedt_batch(n, count, rng, max_rejections=max_rejections,
+                                     pdc=method == "fristedt-pdc")
     raise ValueError(f"unknown sampling method {method!r}")
+
+
+def sample_uniform_batch(n, count, rng, *, method="exact", table=None,
+                         max_rejections=10**7):
+    """Draw ``count`` uniform partitions of n with the named method.
+
+    method: 'exact' (unranking; builds a table up to n when none is
+    passed, for n up to EXACT_TABLE_CAP), 'fristedt' (plain rejection),
+    or 'fristedt-pdc'.  Returns (list of Partition, attempts); for
+    'exact', attempts == count.
+    """
+    batch, attempts = _draw(n, count, rng, method, table, max_rejections)
+    return list(batch), attempts
 
 
 def estimate_p_mc(n, trials, rng, *, method="exact", table=None,
@@ -224,11 +395,8 @@ def estimate_p_mc(n, trials, rng, *, method="exact", table=None,
     of n is graphical."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    samples, _ = sample_uniform_batch(
-        n, trials, rng, method=method, table=table, max_rejections=max_rejections
-    )
-    hits = sum(1 for lam in samples if is_graphical_eg(lam))
-    return make_estimate("p-graphical", hits, trials, n=n)
+    batch, _ = _draw(n, trials, rng, method, table, max_rejections)
+    return make_estimate("p-graphical", int(batch.graphical().sum()), trials, n=n)
 
 
 def estimate_r_mc(n, trials, rng, *, method="exact", table=None,
@@ -237,11 +405,6 @@ def estimate_r_mc(n, trials, rng, *, method="exact", table=None,
     dominance for an independent uniform pair (lam, mu) of weight n."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    samples, _ = sample_uniform_batch(
-        n, 2 * trials, rng, method=method, table=table,
-        max_rejections=max_rejections,
-    )
-    hits = sum(
-        1 for a, b in zip(samples[0::2], samples[1::2]) if dominates(a, b)
-    )
+    batch, _ = _draw(n, 2 * trials, rng, method, table, max_rejections)
+    hits = int(batch[0::2].dominated_by(batch[1::2]).sum())
     return make_estimate("r-dominance", hits, trials, n=n)

@@ -323,10 +323,10 @@ def check_surrogate_fidelity(seed=DEFAULT_SEED):
     t0 = time.perf_counter()
     n = 10**4
     draws = 10**4
-    parts, _ = sampling.sample_fristedt_batch(
+    batch, _ = sampling.sample_fristedt_batch(
         n, draws, RandomStream(seed, 121), pdc=True
     )
-    largest = np.array([p.parts[0] for p in parts], dtype=np.int64)
+    largest = batch.leading_parts(1)[:, 0]
     x1 = RandomStream(seed, 122).exponential(draws)
     row1 = walks._row_values(n, x1)
     lo = int(min(largest.min(), row1.min())) // 10 * 10

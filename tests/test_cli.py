@@ -138,6 +138,14 @@ class TestEstimators:
             "error: n = 10000 above the exact sampler's table cap 2000; "
             "use method 'fristedt-pdc'\n")
 
+    @pytest.mark.parametrize("command", ["estimate-p", "sample"])
+    def test_boltzmann_size_limit_is_one_line(self, runner, command):
+        res = runner.invoke(main, [command, "--n", "1000000000", "--trials", "5",
+                                   "--seed", "5", "--method", "fristedt-pdc"])
+        assert res.exit_code == 2
+        assert res.output == (
+            "error: n = 1000000000 above the Boltzmann sampler limit 10000000\n")
+
     def test_json_document_shape(self, runner):
         res = runner.invoke(main, ["estimate-p", "--n", "12", "--trials", "400",
                                    "--seed", "5", "--output", "json"])

@@ -1,6 +1,9 @@
-"""Property tests: ranking, conjugation, the two graphicality tests and
-Kostka positivity against dominance, on generated inputs."""
+"""Property tests: ranking, conjugation, the two graphicality tests, the
+batched (multiplicity-form) graphicality and dominance tests against
+their per-partition oracles, and Kostka positivity against dominance,
+on generated inputs."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -43,6 +46,23 @@ def test_graphicality_tests_agree_on_sampled_partitions(seed):
     parts, _ = sampling.sample_fristedt_batch(
         1000, 1, RandomStream(seed, 0), pdc=True)
     assert is_graphical_eg(parts[0]) == is_graphical_hh(parts[0])
+
+
+@pytest.mark.parametrize("n", [10**3, 10**4])
+@pytest.mark.parametrize("pdc", [False, True])
+@settings(derandomize=True, deadline=None, max_examples=12)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_batch_tests_match_the_oracles(n, pdc, seed):
+    batch, _ = sampling.sample_fristedt_batch(
+        n, 8 if pdc else 2, RandomStream(seed, 1), pdc=pdc)
+    parts = list(batch)
+    eg = [is_graphical_eg(lam) for lam in parts]
+    assert batch.graphical().tolist() == eg
+    assert eg == [is_graphical_hh(lam) for lam in parts]
+    half = len(parts) // 2
+    for lo, hi in ((batch[:half], batch[half:]), (batch[half:], batch[:half])):
+        assert lo.dominated_by(hi).tolist() == [
+            dominates(a, b) for a, b in zip(lo, hi)]
 
 
 @SETTINGS

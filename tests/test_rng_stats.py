@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,6 +49,25 @@ class TestRandomStream:
         # second moment of Exp(1) is 2, variance of x^2 is 20
         assert abs((x**2).mean() - 2.0) < 5 * math.sqrt(20 / n)
         assert x.min() > 0
+
+    @pytest.mark.parametrize("size", [None, 7, (3, 5)])
+    def test_exponential_is_minus_log_uniform(self, size):
+        want = -np.log(RandomStream(12, 0).uniform_open(size))
+        got = RandomStream(12, 0).exponential(size)
+        assert np.array_equal(got, want)
+
+    def test_exponential_block_memory(self):
+        # a 32 MB block: the transform works in place on the uniforms
+        size = 4 * 10**6
+        rng = RandomStream(12, 1)
+        tracemalloc.start()
+        try:
+            x = rng.exponential(size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x.nbytes == 32 * 10**6
+        assert peak < 2 * x.nbytes
 
     def test_gamma_integer_shape_mean(self):
         g = RandomStream(13, 0).gamma(7.0, 10**5)

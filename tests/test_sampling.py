@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats as sps
 
 from partlab import counting, sampling
+from partlab.partitions import dominates, is_graphical_eg
 from partlab.rng import RandomStream
 from partlab.stats import C_SCALE, Z95
 
@@ -90,7 +92,7 @@ class TestBoltzmannSampler:
 
     def test_rejection_limit(self):
         with pytest.raises(sampling.RejectionLimitError) as info:
-            sampling.sample_fristedt(30, RandomStream(0, 0), max_rejections=0)
+            sampling.sample_fristedt_batch(30, 1, RandomStream(0, 0), max_rejections=0)
         assert info.value.n == 30
         assert info.value.rejections == 1
 
@@ -106,8 +108,76 @@ class TestBoltzmannSampler:
         counts = _rank_counts(table, 12, parts)
         assert sps.chisquare(counts).pvalue > 0.001
 
+    def test_uniform_at_n20_pdc(self, table):
+        # K = 11 < 20, so the tail rounds draw the parts above the head
+        assert sampling._head_size(20) == 11
+        parts, _ = sampling.sample_fristedt_batch(
+            20, 20 * table.count(20), RandomStream(22, 0), pdc=True
+        )
+        counts = _rank_counts(table, 20, parts)
+        assert sps.chisquare(counts).pvalue > 0.001
+
+    @pytest.mark.parametrize("pdc", [False, True])
+    def test_largest_part_above_head_law(self, pdc):
+        n, draws = 200, 4000
+        K = sampling._head_size(n)
+        big = counting.build_table(n)
+        p = 1 - big.count_restricted(n, K) / big.count(n)
+        batch, _ = sampling.sample_fristedt_batch(
+            n, draws, RandomStream(23, int(pdc)), pdc=pdc
+        )
+        freq = float((batch.leading_parts(1)[:, 0] > K).mean())
+        assert abs(freq - p) <= 4 * math.sqrt(p * (1 - p) / draws)
+
+    def test_attempts_end_at_last_acceptance(self):
+        # one accepted draw after a - 1 rejections: a budget of a - 1
+        # rejections suffices and a - 2 fails at the (a - 1)-th
+        _, a = sampling.sample_fristedt_batch(30, 1, RandomStream(24, 0))
+        assert a > 2
+        again, b = sampling.sample_fristedt_batch(
+            30, 1, RandomStream(24, 0), max_rejections=a - 1)
+        assert b == a and len(again) == 1
+        with pytest.raises(sampling.RejectionLimitError) as info:
+            sampling.sample_fristedt_batch(
+                30, 1, RandomStream(24, 0), max_rejections=a - 2)
+        assert info.value.rejections == a - 1
+
+    def test_size_limit_before_allocating(self):
+        too_big = sampling.BOLTZMANN_MAX_N + 1
+        tracemalloc.start()
+        try:
+            for method in ("fristedt", "fristedt-pdc"):
+                with pytest.raises(ValueError, match="Boltzmann sampler limit"):
+                    sampling.sample_uniform_batch(
+                        too_big, 1, RandomStream(25, 0), method=method)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
+
+    @pytest.mark.parametrize("n", [40, 10**4, 10**6])
+    def test_plan_tail_is_the_full_prefix(self, n):
+        # the full array only repeats its last value past the cut, so
+        # every searchsorted decision is the same
+        q, K, neg_prefix = sampling._boltzmann_plan(n)
+        ks = np.arange(K + 1, n + 1, dtype=np.float64)
+        full = -np.cumsum(np.log1p(-np.exp(ks * math.log(q))))
+        cut = len(neg_prefix)
+        assert np.array_equal(full[:cut], neg_prefix)
+        assert np.all(full[cut:] == neg_prefix[-1])
+        assert cut == n - K or cut < 30 * math.sqrt(n)
+
+    def test_batch_form_round_trip(self):
+        batch, _ = sampling.sample_fristedt_batch(
+            300, 40, RandomStream(26, 0), pdc=True)
+        parts = list(batch)
+        assert sampling.PartitionBatch.from_partitions(300, parts) == batch
+        assert list(batch[1::3]) == parts[1::3]
+        assert batch[-1] == parts[-1]
+        assert batch != batch[1:]
+
     def test_single_draw_wrapper(self):
-        lam = sampling.sample_fristedt(25, RandomStream(10, 0))
+        lam = sampling.sample_fristedt_batch(25, 1, RandomStream(10, 0))[0][0]
         assert lam.weight == 25
 
     def test_deterministic(self):
@@ -115,6 +185,38 @@ class TestBoltzmannSampler:
         b, att_b = sampling.sample_fristedt_batch(60, 25, RandomStream(11, 0))
         assert a == b
         assert att_a == att_b
+
+
+class TestPartitionBatch:
+    def test_graphical_matches_oracles_exhaustively(self):
+        for n in range(31):
+            parts = list(counting.enumerate_partitions(n))
+            batch = sampling.PartitionBatch.from_partitions(n, parts)
+            assert list(batch) == parts
+            assert batch.graphical().tolist() == [is_graphical_eg(lam) for lam in parts]
+
+    def test_dominance_matches_oracle_exhaustively(self):
+        for n in range(15):
+            parts = list(counting.enumerate_partitions(n))
+            left = [lam for lam in parts for _ in parts]
+            right = parts * len(parts)
+            got = sampling.PartitionBatch.from_partitions(n, left).dominated_by(
+                sampling.PartitionBatch.from_partitions(n, right))
+            assert got.tolist() == [dominates(a, b) for a, b in zip(left, right)]
+
+    @pytest.mark.parametrize("j", [1, 2])
+    def test_tail_multiplicity_law(self, j):
+        # E #{p > K : m_p >= j} = sum_{p > K} pi(n - jp) / pi(n) for a
+        # uniform partition of n
+        n, draws = 1000, 5000
+        K = sampling._head_size(n)
+        pi = counting.pentagonal_counts(n)
+        exact = sum(pi[n - j * p] for p in range(K + 1, n // j + 1)) / pi[n]
+        batch, _ = sampling.sample_fristedt_batch(
+            n, draws, RandomStream(27, j), pdc=True)
+        per_row = np.bincount(batch.tail_row[batch.tail_mult >= j], minlength=draws)
+        se = per_row.std(ddof=1) / math.sqrt(draws)
+        assert abs(per_row.mean() - exact) <= 4 * se
 
 
 class TestBatchFrontend:
