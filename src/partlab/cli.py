@@ -71,17 +71,22 @@ class OneLineErrors(click.Group):
         sys.exit(rv if isinstance(rv, int) else 0)
 
 
-def _load_config(path):
-    """Parse a key=value file into a click default map.
+def _leaves(group, prefix=()):
+    """Name paths of every subcommand under a click group."""
+    for name, command in group.commands.items():
+        if isinstance(command, click.Group):
+            yield from _leaves(command, prefix + (name,))
+        else:
+            yield prefix + (name,)
+
+
+def _load_config(path, group):
+    """Parse a key=value file into a click default map for ``group``.
 
     Plain keys apply to every subcommand; dotted keys (``surrogate.trials``,
     ``gp.persist.alpha``) target one subcommand.  Flags always override.
     """
-    leaves = [
-        ("exact",), ("sample",), ("estimate-p",), ("estimate-r",),
-        ("surrogate",), ("gp", "cov"), ("gp", "persist"),
-        ("exponents", "solve"), ("selfcheck",),
-    ]
+    leaves = list(_leaves(group))
     root: dict = {}
 
     def node_at(parts):
@@ -179,7 +184,7 @@ def output_options(default_format="csv"):
 def main(ctx, config_path):
     """Exact and Monte Carlo laboratory for partition statistics."""
     if config_path:
-        ctx.default_map = _load_config(config_path)
+        ctx.default_map = _load_config(config_path, ctx.command)
 
 
 @main.command("exact")
@@ -282,50 +287,38 @@ def _emit_estimate(subcommand, est, seed, params, output_format, out,
           provenance=provenance, started=started)
 
 
-@main.command("estimate-p")
-@click.option("--n", type=click.IntRange(min=0), required=True)
-@click.option("--trials", type=click.IntRange(min=1), required=True)
-@click.option("--seed", type=int, required=True)
-@click.option("--method", type=click.Choice(["exact", "fristedt", "fristedt-pdc"]),
-              default="exact", show_default=True)
-@click.option("--max-rejections", type=click.IntRange(min=0), default=10**7,
-              show_default=True)
-@output_options()
-def estimate_p_cmd(n, trials, seed, method, max_rejections, output_format, out):
-    """Monte Carlo estimate of the graphical fraction at weight n."""
-    started = time.perf_counter()
-    est = sampling.estimate_p_mc(
-        n, trials, RandomStream(seed, 0), method=method,
-        max_rejections=max_rejections,
-    )
-    params = {"n": n, "trials": trials, "method": method,
-              "max_rejections": max_rejections}
-    _emit_estimate("estimate-p", est, seed, params, output_format, out,
-                   {"estimate": "sampling.estimate_p_mc",
-                    "ci": "stats.wilson_interval"}, started)
+def _estimate_command(name, estimator, help_text):
+    """The estimate-p / estimate-r command around ``sampling.<estimator>``.
+
+    The estimator is looked up on the module at call time, so a function
+    rebound there (by a profiler, say) is the one that runs.
+    """
+    @main.command(name, help=help_text)
+    @click.option("--n", type=click.IntRange(min=0), required=True)
+    @click.option("--trials", type=click.IntRange(min=1), required=True)
+    @click.option("--seed", type=int, required=True)
+    @click.option("--method", type=click.Choice(["exact", "fristedt", "fristedt-pdc"]),
+                  default="exact", show_default=True)
+    @click.option("--max-rejections", type=click.IntRange(min=0), default=10**7,
+                  show_default=True)
+    @output_options()
+    def command(n, trials, seed, method, max_rejections, output_format, out):
+        started = time.perf_counter()
+        est = getattr(sampling, estimator)(
+            n, trials, RandomStream(seed, 0), method=method,
+            max_rejections=max_rejections,
+        )
+        params = {"n": n, "trials": trials, "method": method,
+                  "max_rejections": max_rejections}
+        _emit_estimate(name, est, seed, params, output_format, out,
+                       {"estimate": f"sampling.{estimator}",
+                        "ci": "stats.wilson_interval"}, started)
 
 
-@main.command("estimate-r")
-@click.option("--n", type=click.IntRange(min=0), required=True)
-@click.option("--trials", type=click.IntRange(min=1), required=True)
-@click.option("--seed", type=int, required=True)
-@click.option("--method", type=click.Choice(["exact", "fristedt", "fristedt-pdc"]),
-              default="exact", show_default=True)
-@click.option("--max-rejections", type=click.IntRange(min=0), default=10**7,
-              show_default=True)
-@output_options()
-def estimate_r_cmd(n, trials, seed, method, max_rejections, output_format, out):
-    """Monte Carlo estimate of the dominance-comparable pair fraction."""
-    started = time.perf_counter()
-    est = sampling.estimate_r_mc(
-        n, trials, RandomStream(seed, 0), method=method,
-        max_rejections=max_rejections,
-    )
-    params = {"n": n, "trials": trials, "method": method,
-              "max_rejections": max_rejections}
-    _emit_estimate("estimate-r", est, seed, params, output_format, out,
-                   {"estimate": "sampling.estimate_r_mc",
-                    "ci": "stats.wilson_interval"}, started)
+_estimate_command("estimate-p", "estimate_p_mc",
+                  "Monte Carlo estimate of the graphical fraction at weight n.")
+_estimate_command("estimate-r", "estimate_r_mc",
+                  "Monte Carlo estimate of the dominance-comparable pair fraction.")
 
 
 @main.command("surrogate")

@@ -26,7 +26,6 @@ __all__ = [
     "PartitionTable",
     "build_table",
     "comparable_count",
-    "count_partitions",
     "enumerate_partitions",
     "exact_p",
     "exact_r",
@@ -87,11 +86,6 @@ class PartitionTable:
 def build_table(max_n):
     """Build a PartitionTable covering weights 0..max_n."""
     return PartitionTable(max_n)
-
-
-def count_partitions(table, n):
-    """pi(n) from a prebuilt table."""
-    return table.count(n)
 
 
 def pentagonal_counts(max_n):

@@ -11,6 +11,12 @@ samplers (linear-cost incremental, and dense Cholesky as an
 independent check on the law), persistence-probability estimation,
 and the constant pipeline: the root of g(rho) = 5/4, the rate
 beta = 1/(10 log rho), and the maximin exponent solution.
+
+Both samplers are batch-first: they return a (paths, n) array of Z,
+one path per row, from a (paths, n) block of standard normals drawn
+row after row.  A block of rows is the same variates in the same
+order as its paths drawn one by one, so persistence_prob, which draws
+one block of rows at a time, does not depend on the block size.
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ __all__ = [
     "CHOLESKY_CAP",
     "DecayFit",
     "ExponentSolution",
-    "GPPath",
     "beta_from_rho",
     "cov_matrix",
     "decay_fit",
@@ -88,33 +93,26 @@ def cov_matrix(n):
     return 2.0 * lo - (lo + 1.0) * h[lo] + lo * h[hi]
 
 
-@dataclass(frozen=True)
-class GPPath:
-    """One realization of (Z_1..Z_N); ``b`` carries the Brownian values
-    when the sampler produces them (the Cholesky sampler does not)."""
+def sample_gp_incremental(n, paths, rng):
+    """Exact paths of Z via Brownian increments; O(n) per path.
 
-    z: np.ndarray
-    b: np.ndarray | None = None
-
-    @property
-    def length(self):
-        return len(self.z)
-
-
-def sample_gp_incremental(n, rng):
-    """Exact path of Z via Brownian increments; O(n) per path."""
+    Returns a (paths, n) array: per row, the cumulative sum of B_k/k
+    with B the cumulative sum of standard normals.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    b = np.cumsum(rng.standard_normal(n))
-    z = np.cumsum(b / np.arange(1, n + 1))
-    return GPPath(z=z, b=b)
+    z = rng.standard_normal((paths, n))
+    np.cumsum(z, axis=1, out=z)
+    z *= 1.0 / np.arange(1, n + 1)
+    return np.cumsum(z, axis=1, out=z)
 
 
-def sample_gp_cholesky(n, rng, *, jitter=0.0, cap=CHOLESKY_CAP):
-    """Exact path of Z (marginal law only) via dense Cholesky.
+def sample_gp_cholesky(n, paths, rng, *, jitter=0.0, cap=CHOLESKY_CAP):
+    """Exact paths of Z (marginal law only) via dense Cholesky.
 
-    Cost is O(n^3), so n is capped (default 2000).  If factorization
-    fails through rounding, retry with a small ``jitter`` added to the
+    Factors the covariance once and returns a (paths, n) array.  Cost
+    is O(n^3), so n is capped (default 2000).  If factorization fails
+    through rounding, retry with a small ``jitter`` added to the
     diagonal, e.g. 1e-10.
     """
     if n < 1:
@@ -130,13 +128,14 @@ def sample_gp_cholesky(n, rng, *, jitter=0.0, cap=CHOLESKY_CAP):
         raise RuntimeError(
             "covariance factorization failed; retry with jitter > 0"
         ) from exc
-    return GPPath(z=chol @ rng.standard_normal(n))
+    return rng.standard_normal((paths, n)) @ chol.T
 
 
 def persistence_prob(n, alpha, trials, rng):
     """Monte Carlo estimate of P(max_{k<=n} Z_k <= n**alpha).
 
-    Uses the incremental sampler in chunks; alpha must lie in [0, 1/2).
+    Draws blocks of paths with the incremental sampler, so the result
+    does not depend on the block size; alpha must lie in [0, 1/2).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -145,16 +144,11 @@ def persistence_prob(n, alpha, trials, rng):
     if trials < 1:
         raise ValueError("trials must be >= 1")
     cut = float(n) ** alpha
-    weights = 1.0 / np.arange(1, n + 1)
+    cap = max(1, MC_BLOCK_ELEMENTS // n)
     hits = 0
-    done = 0
-    chunk_cap = max(1, min(trials, MC_BLOCK_ELEMENTS // n))
-    while done < trials:
-        chunk = min(chunk_cap, trials - done)
-        b = np.cumsum(rng.standard_normal((chunk, n)), axis=1)
-        z = np.cumsum(b * weights, axis=1)
-        hits += int((z.max(axis=1) <= cut).sum())
-        done += chunk
+    for done in range(0, trials, cap):
+        z = sample_gp_incremental(n, min(cap, trials - done), rng)
+        hits += int(np.count_nonzero(z.max(axis=1) <= cut))
     return make_estimate("gp-persistence", hits, trials, n=n)
 
 

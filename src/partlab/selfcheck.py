@@ -222,18 +222,9 @@ def check_covariance_law(seed=DEFAULT_SEED):
         and gaussian.gp_cov(2, 2) == 2.5
     )
 
-    rng = RandomStream(seed, 8)
     trials = 10**5
-    z5 = np.empty(trials)
-    z10 = np.empty(trials)
-    done = 0
-    while done < trials:
-        chunk = min(20000, trials - done)
-        b = np.cumsum(rng.standard_normal((chunk, 10)), axis=1)
-        z = np.cumsum(b / np.arange(1.0, 11.0), axis=1)
-        z5[done : done + chunk] = z[:, 4]
-        z10[done : done + chunk] = z[:, 9]
-        done += chunk
+    z = gaussian.sample_gp_incremental(10, trials, RandomStream(seed, 8))
+    z5, z10 = z[:, 4], z[:, 9]
     prods = (z5 - z5.mean()) * (z10 - z10.mean())
     emp = float(prods.mean())
     se = float(prods.std(ddof=1) / math.sqrt(trials))
@@ -252,16 +243,10 @@ def check_covariance_law(seed=DEFAULT_SEED):
 def check_gp_law_equivalence(seed=DEFAULT_SEED):
     """Two-sample KS on max_{k<=50} Z_k: Cholesky vs incremental sampler."""
     t0 = time.perf_counter()
-    rng_a = RandomStream(seed, 91)
-    rng_b = RandomStream(seed, 92)
     paths = 10**4
-    m_inc = np.array(
-        [gaussian.sample_gp_incremental(50, rng_a).z.max() for _ in range(paths)]
-    )
-    m_cho = np.array(
-        [gaussian.sample_gp_cholesky(50, rng_b).z.max() for _ in range(paths)]
-    )
-    p = float(_sps.ks_2samp(m_inc, m_cho).pvalue)
+    z_inc = gaussian.sample_gp_incremental(50, paths, RandomStream(seed, 91))
+    z_cho = gaussian.sample_gp_cholesky(50, paths, RandomStream(seed, 92))
+    p = float(_sps.ks_2samp(z_inc.max(axis=1), z_cho.max(axis=1)).pvalue)
     detail = f"KS two-sample p={p:.4f} on {paths} paths per sampler"
     return _finish("gp-law-equivalence", t0, p > 0.001, detail, seed, budget=60.0)
 

@@ -8,19 +8,18 @@ sums S, S' and centered walks R_j = S_j - j, R'_j = S'_j - j.  The map
 turns prefix sums into surrogate row (from S) and column (from S')
 lengths of a size-n random partition's diagram.  The estimators here
 measure the probability of the inequality events tying the surrogate
-to graphicality, plus concentration diagnostics for R_j and for the
-ratios S'_j/S_j.
+to graphicality, and the exceedance frequencies of the ratios
+S'_j/S_j over the burn-in range.
 
-The event estimators (estimate_event, check_containment) draw their
-paths path-major: each path takes 2m consecutive exponentials from the
-stream, X_1..X_m and then X'_1..X'_m, the order gen_walk uses.  Memory
-is bounded by drawing a block of such rows at a time, and a block of
-rows is the same variates in the same order as its paths drawn one by
-one, so these estimates depend on the seed and stream only, not on the
-block size.  (RandomStream.uniform_open redraws an exact 0.0 after the
-whole block; that has probability 2^-53 per variate.)
-ratio_tail_diagnostic still draws an X block and then an X' block per
-chunk, so its output depends on its chunk size.
+Every estimator here (estimate_event, check_containment,
+ratio_tail_diagnostic) draws its paths path-major: each path takes 2m
+consecutive exponentials from the stream, X_1..X_m and then
+X'_1..X'_m, the order gen_walk uses.  Memory is bounded by drawing a
+block of such rows at a time, and a block of rows is the same variates
+in the same order as its paths drawn one by one, so these estimates
+depend on the seed and stream only, not on the block size.
+(RandomStream.uniform_open redraws an exact 0.0 after the whole block;
+that has probability 2^-53 per variate.)
 """
 
 from __future__ import annotations
@@ -48,29 +47,23 @@ __all__ = [
     "WALK_MAX_LENGTH",
     "WalkPath",
     "check_containment",
-    "check_rj_concentration",
     "estimate_event",
-    "event_early_min_drop",
     "event_eg_surrogate",
     "event_log",
-    "event_log_drift_gap",
     "floor_power",
     "gen_walk",
     "headline_threshold",
     "log_cube",
-    "log_drift_gap_bound",
-    "log_prefix_bound_check",
     "min_weighted_stat",
     "ratio_tail_bound",
     "ratio_tail_bound_terms",
     "ratio_tail_diagnostic",
     "ratio_tail_exact",
     "ratio_tail_exact_terms",
-    "rj_concentration_bound",
     "surrogate_rows_cols",
 ]
 
-#: Most paths drawn in one block by the event estimators.
+#: Most paths drawn in one block by the estimators.
 _CHUNK = 4096
 #: Most indices j <= ceil(log^3 n) the ratio-tail functions will hold in
 #: memory: 8 MB per float64 array, against 782 indices at n = 10^4.
@@ -322,18 +315,21 @@ def estimate_event(kind, n, gamma, delta, trials, rng, *,
 
 @dataclass(frozen=True)
 class ContainmentReport:
-    """Path-by-path tally of the inequality chain eg => log(0) => log(-1)."""
+    """Path-by-path tally of the inequality chain eg => log(0) => log(-1).
+
+    log(0) => log(-1) holds by arithmetic, as both read one prefix
+    minimum, so only eg => log(0) can be violated.
+    """
 
     trials: int
     eg_hits: int
     log0_hits: int
     logneg1_hits: int
     eg_without_log0: int
-    log0_without_logneg1: int
 
     @property
     def violations(self):
-        return self.eg_without_log0 + self.log0_without_logneg1
+        return self.eg_without_log0
 
 
 def check_containment(n, gamma, trials, rng):
@@ -349,53 +345,22 @@ def check_containment(n, gamma, trials, rng):
     if trials < 1:
         raise ValueError("trials must be >= 1")
     length = _walk_length(n, gamma)
-    eg_hits = log0 = logneg1 = bad01 = bad12 = 0
+    eg_hits = log0 = logneg1 = bad01 = 0
     for s, sp in _walk_blocks(length, trials, rng):
         a = _eg_rows(n, s, sp)
         low = _log_ratio_min_rows(s, sp)
         b = low >= 0.0
-        c = low >= -1.0
         eg_hits += int(np.count_nonzero(a))
         log0 += int(np.count_nonzero(b))
-        logneg1 += int(np.count_nonzero(c))
+        logneg1 += int(np.count_nonzero(low >= -1.0))
         bad01 += int(np.count_nonzero(a & ~b))
-        bad12 += int(np.count_nonzero(b & ~c))
     return ContainmentReport(
         trials=trials,
         eg_hits=eg_hits,
         log0_hits=log0,
         logneg1_hits=logneg1,
         eg_without_log0=bad01,
-        log0_without_logneg1=bad12,
     )
-
-
-def rj_concentration_bound(n):
-    """The tail envelope 2 exp(-log^2(n)/6) for |R_j/j| >= log(n)/sqrt(j)."""
-    return 2.0 * math.exp(-math.log(n) ** 2 / 6.0)
-
-
-def check_rj_concentration(j, n, trials, rng):
-    """Empirical frequency of |R_j/j| >= log(n)/sqrt(j).
-
-    Valid in the regime j > log^2(n).  S_j is a sum of j unit
-    exponentials, i.e. Gamma(j, 1), and is drawn directly in that
-    form.  Compare the estimate against rj_concentration_bound(n); at
-    small n the bound exceeds 1 and the check is vacuous.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if j <= math.log(n) ** 2:
-        raise ValueError(f"j = {j} must exceed log^2(n) = {math.log(n) ** 2:.3f}")
-    cut = math.log(n) / math.sqrt(j)
-    hits = 0
-    done = 0
-    while done < trials:
-        chunk = min(10**6, trials - done)
-        s = rng.gamma(float(j), chunk)
-        hits += int((np.abs(s / j - 1.0) >= cut).sum())
-        done += chunk
-    return make_estimate("rj-concentration", hits, trials, n=n)
 
 
 def _ratio_tail_excess(n, delta):
@@ -491,9 +456,10 @@ class RatioTailDiagnostic:
 def ratio_tail_diagnostic(n, delta, trials, rng):
     """Estimate sum_{j <= ceil(log^3 n)} P(S'_j/S_j >= 1 + n^(delta/2)/sqrt(j)).
 
-    One set of paths serves every j.  Memory stays bounded by chunking
-    paths; the per-path exceedance count across indices feeds a CLT
-    interval for the total.
+    One set of paths of length ceil(log^3 n) serves every j; they are
+    drawn path-major in blocks (see the module docstring), so the result
+    does not depend on the block size.  The per-path exceedance count
+    across indices feeds a CLT interval for the total.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -505,18 +471,12 @@ def ratio_tail_diagnostic(n, delta, trials, rng):
     hits_per_j = np.zeros(count, dtype=np.int64)
     path_sum = 0.0
     path_sumsq = 0.0
-    done = 0
-    chunk_cap = max(1, min(trials, MC_BLOCK_ELEMENTS // count))
-    while done < trials:
-        chunk = min(chunk_cap, trials - done)
-        s = np.cumsum(rng.exponential((chunk, count)), axis=1)
-        sp = np.cumsum(rng.exponential((chunk, count)), axis=1)
+    for s, sp in _walk_blocks(count, trials, rng):
         exceed = sp / s >= cuts
         hits_per_j += exceed.sum(axis=0)
         per_path = exceed.sum(axis=1).astype(np.float64)
         path_sum += float(per_path.sum())
         path_sumsq += float((per_path**2).sum())
-        done += chunk
     per_j = hits_per_j / trials
     total = float(path_sum / trials)
     var = max(path_sumsq / trials - total**2, 0.0)
@@ -533,72 +493,3 @@ def ratio_tail_diagnostic(n, delta, trials, rng):
         finite_bound=ratio_tail_bound(n, delta),
         exact_mean=ratio_tail_exact(n, delta),
     )
-
-
-def log_prefix_bound_check(n, delta, walk):
-    """Deterministic per-path check of the burn-in log-sum bound.
-
-    On any path where S'_j/S_j < 1 + n^(delta/2)/sqrt(j) for every
-    j <= ceil(log^3 n), the prefix sum of log(S'_j/S_j) over that
-    range must stay at or below 2 n^(delta/2) ceil(log^(3/2) n),
-    because log(1+t) <= t and sum 1/sqrt(j) <= 2 sqrt(count).  Returns
-    (applicable, holds, value, cap); ``holds`` is None when the ratio
-    condition fails, since then the bound promises nothing.
-    """
-    count = log_cube(n)
-    if walk.length < count:
-        raise ValueError(f"walk length {walk.length} < ceil(log^3 n) = {count}")
-    jj = np.arange(1, count + 1, dtype=np.float64)
-    ratios = walk.s_prime[:count] / walk.s[:count]
-    applicable = bool(np.all(ratios < 1.0 + n ** (delta / 2.0) / np.sqrt(jj)))
-    value = float(
-        kahan_cumsum(np.log(walk.s_prime[:count]) - np.log(walk.s[:count]))[-1]
-    )
-    cap = 2.0 * n ** (delta / 2.0) * math.ceil(math.log(n) ** 1.5)
-    holds = (value <= cap) if applicable else None
-    return applicable, holds, value, cap
-
-
-def event_log_drift_gap(n, gamma, walk):
-    """Per-path diagnostic: beyond the burn-in range, do the prefix
-    log-ratio sums ever exceed the centered-drift sums by more than
-    log^3 n?
-
-    The event is a union over l in (ceil(log^3 n), floor(n**gamma)] of
-
-        sum_{j=burnin+1..l} log(S'_j/S_j)
-            > sum_{j=burnin+1..l} (R'_j - R_j)/j + log^3 n.
-
-    When floor(n**gamma) <= ceil(log^3 n) the index range is empty and
-    the event is False by convention; that is the usual situation at
-    desk-scale n, where this stays a large-n diagnostic.
-    """
-    length = _require_length(n, gamma, walk)
-    burnin = log_cube(n)
-    if length <= burnin:
-        return False
-    lo, hi = burnin, length
-    logs = np.log(walk.s_prime[lo:hi]) - np.log(walk.s[lo:hi])
-    jj = np.arange(lo + 1, hi + 1, dtype=np.float64)
-    drift = (walk.r_prime[lo:hi] - walk.r[lo:hi]) / jj
-    gap = kahan_cumsum(logs) - kahan_cumsum(drift)
-    return bool(np.any(gap > math.log(n) ** 3))
-
-
-def log_drift_gap_bound(n):
-    """Asymptotic envelope 4 n^(1/4) exp(-log^2(n)/6) for the drift-gap event."""
-    return 4.0 * n**0.25 * math.exp(-math.log(n) ** 2 / 6.0)
-
-
-def event_early_min_drop(n, delta, walk):
-    """Per-path diagnostic: does the weighted drift min over the burn-in
-    range drop to -n^(delta/2) ceil(log^(3/2) n) or below?
-
-    This event's probability is asymptotically O(n^(-delta/2)); no
-    finite-n target exists, so it is reported as a raw diagnostic.
-    """
-    count = log_cube(n)
-    if walk.length < count:
-        raise ValueError(f"walk length {walk.length} < ceil(log^3 n) = {count}")
-    cut = -(n ** (delta / 2.0)) * math.ceil(math.log(n) ** 1.5)
-    return min_weighted_stat(walk, count) <= cut

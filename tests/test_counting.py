@@ -43,9 +43,6 @@ class TestTable:
         for n in range(61):
             assert table.count(n) == oracle[n]
 
-    def test_count_partitions_wrapper(self, table):
-        assert counting.count_partitions(table, 10) == 42
-
 
 class TestEnumeration:
     def test_order_at_4(self):

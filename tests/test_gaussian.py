@@ -69,62 +69,48 @@ class TestCovariance:
 
 class TestSamplers:
     def test_incremental_shape_and_identity(self):
-        path = gaussian.sample_gp_incremental(30, RandomStream(1, 0))
-        assert path.length == 30
-        assert path.b is not None
-        # Z_k - Z_{k-1} = B_k / k
-        diffs = np.diff(path.z)
-        assert np.allclose(diffs, path.b[1:] / np.arange(2, 31))
-        assert abs(path.z[0] - path.b[0]) < 1e-15
+        z = gaussian.sample_gp_incremental(30, 4, RandomStream(1, 0))
+        assert z.shape == (4, 30)
+        # Z = cumsum(B/k) with B = cumsum(xi), xi from a twin stream
+        xi = RandomStream(1, 0).standard_normal((4, 30))
+        want = np.cumsum(np.cumsum(xi, axis=1) / np.arange(1, 31), axis=1)
+        assert np.allclose(z, want, rtol=1e-14, atol=1e-14)
+        assert np.array_equal(z[:, 0], xi[:, 0])
 
     def test_first_coordinate_is_standard_normal(self):
         rng = RandomStream(2, 0)
-        z1 = np.array(
-            [gaussian.sample_gp_incremental(1, rng).z[0] for _ in range(4000)]
-        )
+        z1 = gaussian.sample_gp_incremental(1, 4000, rng)[:, 0]
         assert sps.kstest(z1, "norm").pvalue > 0.001
 
     def test_cholesky_first_coordinate(self):
         rng = RandomStream(3, 0)
-        z1 = np.array(
-            [gaussian.sample_gp_cholesky(1, rng).z[0] for _ in range(4000)]
-        )
+        z1 = gaussian.sample_gp_cholesky(1, 4000, rng)[:, 0]
         assert sps.kstest(z1, "norm").pvalue > 0.001
 
     def test_cholesky_cap(self):
         with pytest.raises(ValueError, match="cap"):
-            gaussian.sample_gp_cholesky(2001, RandomStream(4, 0))
+            gaussian.sample_gp_cholesky(2001, 1, RandomStream(4, 0))
 
     def test_jitter_accepted(self):
-        path = gaussian.sample_gp_cholesky(10, RandomStream(5, 0), jitter=1e-12)
-        assert path.length == 10
+        z = gaussian.sample_gp_cholesky(10, 3, RandomStream(5, 0), jitter=1e-12)
+        assert z.shape == (3, 10)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            gaussian.sample_gp_incremental(0, RandomStream(6, 0))
+            gaussian.sample_gp_incremental(0, 1, RandomStream(6, 0))
         with pytest.raises(ValueError):
-            gaussian.sample_gp_cholesky(0, RandomStream(6, 0))
+            gaussian.sample_gp_cholesky(0, 1, RandomStream(6, 0))
 
     def test_empirical_covariance(self):
-        rng = RandomStream(7, 0)
         trials = 40000
-        z = np.empty((trials, 2))
-        for i in range(trials):
-            path = gaussian.sample_gp_incremental(10, rng).z
-            z[i] = path[4], path[9]
+        z = gaussian.sample_gp_incremental(10, trials, RandomStream(7, 0))[:, [4, 9]]
         prods = (z[:, 0] - z[:, 0].mean()) * (z[:, 1] - z[:, 1].mean())
         se = prods.std(ddof=1) / math.sqrt(trials)
         assert abs(prods.mean() - gaussian.gp_cov(5, 10)) < 5 * se
 
     def test_samplers_agree_on_max_law(self):
-        rng_a = RandomStream(8, 0)
-        rng_b = RandomStream(9, 0)
-        m_inc = np.array(
-            [gaussian.sample_gp_incremental(50, rng_a).z.max() for _ in range(4000)]
-        )
-        m_cho = np.array(
-            [gaussian.sample_gp_cholesky(50, rng_b).z.max() for _ in range(4000)]
-        )
+        m_inc = gaussian.sample_gp_incremental(50, 4000, RandomStream(8, 0)).max(axis=1)
+        m_cho = gaussian.sample_gp_cholesky(50, 4000, RandomStream(9, 0)).max(axis=1)
         assert sps.ks_2samp(m_inc, m_cho).pvalue > 0.001
 
 

@@ -5,9 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from partlab import selfcheck, walks
+from partlab import gaussian, selfcheck, walks
 from partlab.rng import RandomStream
-from partlab.stats import C_SCALE, Z95, kahan_cumsum
+from partlab.stats import C_SCALE, Z95
 from partlab.walks import WalkPath
 
 
@@ -246,7 +246,7 @@ def _containment_replay(n, gamma, trials, rng):
     """check_containment as a loop over single paths and the per-path
     event functions."""
     length = walks.floor_power(n, gamma)
-    eg = log0 = logneg1 = bad01 = bad12 = 0
+    eg = log0 = logneg1 = bad01 = 0
     for _ in range(trials):
         path = walks.gen_walk(length, rng)
         a = walks.event_eg_surrogate(n, gamma, path)
@@ -254,8 +254,7 @@ def _containment_replay(n, gamma, trials, rng):
         c = walks.event_log(n, gamma, path, threshold=-1.0)
         eg, log0, logneg1 = eg + a, log0 + b, logneg1 + c
         bad01 += a and not b
-        bad12 += b and not c
-    return walks.ContainmentReport(trials, eg, log0, logneg1, bad01, bad12)
+    return walks.ContainmentReport(trials, eg, log0, logneg1, bad01)
 
 
 class TestContainment:
@@ -317,6 +316,27 @@ def test_walk_estimators_do_not_depend_on_block_size(monkeypatch, n, gamma, tria
     assert all(r == results[0] for r in results[1:])
 
 
+def _ratio_tail_result():
+    diag = walks.ratio_tail_diagnostic(100, 0.1, 3000, RandomStream(20260816, 0))
+    return diag.total, diag.ci_halfwidth, diag.per_j.tolist()
+
+
+def _persistence_result():
+    return gaussian.persistence_prob(400, 0.0, 3000, RandomStream(20260816, 0))
+
+
+@pytest.mark.parametrize("run", [_ratio_tail_result, _persistence_result])
+def test_path_estimators_do_not_depend_on_block_size(monkeypatch, run):
+    results = []
+    full = walks.MC_BLOCK_ELEMENTS
+    for chunk, budget in ((4096, full), (1000, full), (7, full), (4096, 10**4)):
+        monkeypatch.setattr(walks, "_CHUNK", chunk)
+        monkeypatch.setattr(walks, "MC_BLOCK_ELEMENTS", budget)
+        monkeypatch.setattr(gaussian, "MC_BLOCK_ELEMENTS", budget)
+        results.append(run())
+    assert all(r == results[0] for r in results[1:])
+
+
 def test_walk_estimators_reject_long_paths_before_allocating():
     # floor(n**0.24) is 15,848,931 at n = 10^30 and about 10^96 at 10^400
     tracemalloc.start()
@@ -333,22 +353,6 @@ def test_walk_estimators_reject_long_paths_before_allocating():
 
 
 class TestConcentrationChecks:
-    def test_rj_regime_enforced(self):
-        # log^2(n) is just under 100 here, so j=99 sits inside the
-        # forbidden regime while j=101 clears it
-        n = int(math.e**10)
-        with pytest.raises(ValueError, match="exceed"):
-            walks.check_rj_concentration(99, n, 10, RandomStream(19, 0))
-
-    def test_rj_far_tail_is_empty(self):
-        n = int(math.e**10)
-        est = walks.check_rj_concentration(101, n, 2000, RandomStream(20, 0))
-        assert est.hits == 0
-        assert est.estimate == 0.0
-        assert walks.rj_concentration_bound(n) == pytest.approx(
-            2.0 * math.exp(-math.log(n) ** 2 / 6.0))
-        assert walks.rj_concentration_bound(n) < 2e-7
-
     def test_ratio_tail_structure(self):
         diag = walks.ratio_tail_diagnostic(100, 0.1, 4000, RandomStream(21, 0))
         assert diag.indices == walks.log_cube(100) == 98
@@ -424,77 +428,3 @@ class TestConcentrationChecks:
         assert not passes(total=mean - 4.1 * se)
         # a total at the exact mean still fails once it clears the envelope
         assert not passes(total=mean, finite_bound=mean - 2 * diag.ci_halfwidth)
-
-    def test_log_prefix_bound_holds_when_applicable(self):
-        n, delta = 100, 0.1
-        rng = RandomStream(23, 0)
-        seen_applicable = 0
-        cap_want = 2.0 * n ** (delta / 2.0) * math.ceil(math.log(n) ** 1.5)
-        for _ in range(300):
-            w = walks.gen_walk(walks.log_cube(n), rng)
-            applicable, holds, value, cap = walks.log_prefix_bound_check(n, delta, w)
-            assert cap == pytest.approx(cap_want)
-            if applicable:
-                seen_applicable += 1
-                assert holds is True
-                assert value <= cap
-            else:
-                assert holds is None
-        assert seen_applicable > 0
-
-    def test_log_prefix_bound_short_walk(self):
-        w = walks.gen_walk(5, RandomStream(24, 0))
-        with pytest.raises(ValueError, match="log"):
-            walks.log_prefix_bound_check(100, 0.1, w)
-
-
-class TestLargeNDiagnostics:
-    def test_drift_gap_empty_range_is_false(self):
-        # at n=10^4, floor(n^0.24) = 9 < ceil(log^3 n) = 782
-        w = walks.gen_walk(9, RandomStream(25, 0))
-        assert walks.event_log_drift_gap(10**4, 0.24, w) is False
-
-    def test_drift_gap_inner_inequality(self, monkeypatch):
-        # the range past the burn-in opens up only around n ~ 1e28 with
-        # gamma < 1/4, so shrink the burn-in to exercise the inequality
-        monkeypatch.setattr(walks, "log_cube", lambda n: 2)
-        n, gamma, length = 10**4, 0.24, 9
-        w = walks.gen_walk(length, RandomStream(26, 0))
-        got = walks.event_log_drift_gap(n, gamma, w)
-        logs = np.log(w.s_prime[2:length]) - np.log(w.s[2:length])
-        jj = np.arange(3.0, length + 1.0)
-        drift = (w.r_prime[2:length] - w.r[2:length]) / jj
-        gap = np.cumsum(logs) - np.cumsum(drift)
-        assert got == bool((gap > math.log(n) ** 3).any())
-
-    def test_drift_gap_positive_case(self, monkeypatch):
-        monkeypatch.setattr(walks, "log_cube", lambda n: 2)
-        # S much larger than j makes the log side nearly flat while the
-        # drift side dives, so the gap blows past log^3 n
-        x = np.full(9, 1000.0)
-        xp = np.full(9, 1e-12)
-        w = _path_from_increments(x, xp)
-        assert walks.event_log_drift_gap(10**4, 0.24, w) is True
-
-    def test_drift_gap_bound_decays(self):
-        assert walks.log_drift_gap_bound(10**8) < walks.log_drift_gap_bound(10**4)
-
-    def test_early_min_drop_matches_direct(self):
-        n, delta = 100, 0.1
-        count = walks.log_cube(n)
-        rng = RandomStream(27, 0)
-        hits = 0
-        for _ in range(200):
-            w = walks.gen_walk(count, rng)
-            got = walks.event_early_min_drop(n, delta, w)
-            cut = -(n ** (delta / 2.0)) * math.ceil(math.log(n) ** 1.5)
-            want = walks.min_weighted_stat(w, count) <= cut
-            assert got == want
-            hits += got
-        # the drop is a tail event; most paths should not hit it
-        assert hits < 100
-
-    def test_early_min_drop_short_walk(self):
-        w = walks.gen_walk(5, RandomStream(28, 0))
-        with pytest.raises(ValueError):
-            walks.event_early_min_drop(100, 0.1, w)
