@@ -8,8 +8,10 @@ sums S, S' and centered walks R_j = S_j - j, R'_j = S'_j - j.  The map
 turns prefix sums into surrogate row (from S) and column (from S')
 lengths of a size-n random partition's diagram.  The estimators here
 measure the probability of the inequality events tying the surrogate
-to graphicality, and the exceedance frequencies of the ratios
-S'_j/S_j over the burn-in range.
+to graphicality and the exceedance frequencies of the ratios
+S'_j/S_j over the burn-in range.  Per-path diagnostics check the
+burn-in log-sum bound, the drift gap beyond the burn-in and the early
+minimum drop on single gen_walk paths.
 
 Every estimator here (estimate_event, check_containment,
 ratio_tail_diagnostic) draws its paths path-major: each path takes 2m
@@ -48,12 +50,16 @@ __all__ = [
     "WalkPath",
     "check_containment",
     "estimate_event",
+    "event_early_min_drop",
     "event_eg_surrogate",
     "event_log",
+    "event_log_drift_gap",
     "floor_power",
     "gen_walk",
     "headline_threshold",
     "log_cube",
+    "log_drift_gap_bound",
+    "log_prefix_bound_check",
     "min_weighted_stat",
     "ratio_tail_bound",
     "ratio_tail_bound_terms",
@@ -493,3 +499,72 @@ def ratio_tail_diagnostic(n, delta, trials, rng):
         finite_bound=ratio_tail_bound(n, delta),
         exact_mean=ratio_tail_exact(n, delta),
     )
+
+
+def log_prefix_bound_check(n, delta, walk):
+    """Deterministic per-path check of the burn-in log-sum bound.
+
+    On any path where S'_j/S_j < 1 + n^(delta/2)/sqrt(j) for every
+    j <= ceil(log^3 n), the prefix sum of log(S'_j/S_j) over that
+    range must stay at or below 2 n^(delta/2) ceil(log^(3/2) n),
+    because log(1+t) <= t and sum 1/sqrt(j) <= 2 sqrt(count).  Returns
+    (applicable, holds, value, cap); ``holds`` is None when the ratio
+    condition fails, since then the bound promises nothing.
+    """
+    count = log_cube(n)
+    if walk.length < count:
+        raise ValueError(f"walk length {walk.length} < ceil(log^3 n) = {count}")
+    jj = np.arange(1, count + 1, dtype=np.float64)
+    ratios = walk.s_prime[:count] / walk.s[:count]
+    applicable = bool(np.all(ratios < 1.0 + n ** (delta / 2.0) / np.sqrt(jj)))
+    value = float(
+        kahan_cumsum(np.log(walk.s_prime[:count]) - np.log(walk.s[:count]))[-1]
+    )
+    cap = 2.0 * n ** (delta / 2.0) * math.ceil(math.log(n) ** 1.5)
+    holds = (value <= cap) if applicable else None
+    return applicable, holds, value, cap
+
+
+def event_log_drift_gap(n, gamma, walk):
+    """Per-path diagnostic: beyond the burn-in range, do the prefix
+    log-ratio sums ever exceed the centered-drift sums by more than
+    log^3 n?
+
+    The event is a union over l in (ceil(log^3 n), floor(n**gamma)] of
+
+        sum_{j=burnin+1..l} log(S'_j/S_j)
+            > sum_{j=burnin+1..l} (R'_j - R_j)/j + log^3 n.
+
+    When floor(n**gamma) <= ceil(log^3 n) the index range is empty and
+    the event is False by convention; that is the usual situation at
+    desk-scale n, where this stays a large-n diagnostic.
+    """
+    length = _require_length(n, gamma, walk)
+    burnin = log_cube(n)
+    if length <= burnin:
+        return False
+    lo, hi = burnin, length
+    logs = np.log(walk.s_prime[lo:hi]) - np.log(walk.s[lo:hi])
+    jj = np.arange(lo + 1, hi + 1, dtype=np.float64)
+    drift = (walk.r_prime[lo:hi] - walk.r[lo:hi]) / jj
+    gap = kahan_cumsum(logs) - kahan_cumsum(drift)
+    return bool(np.any(gap > math.log(n) ** 3))
+
+
+def log_drift_gap_bound(n):
+    """Asymptotic envelope 4 n^(1/4) exp(-log^2(n)/6) for the drift-gap event."""
+    return 4.0 * n**0.25 * math.exp(-math.log(n) ** 2 / 6.0)
+
+
+def event_early_min_drop(n, delta, walk):
+    """Per-path diagnostic: does the weighted drift min over the burn-in
+    range drop to -n^(delta/2) ceil(log^(3/2) n) or below?
+
+    This event's probability is asymptotically O(n^(-delta/2)); no
+    finite-n target exists, so it is reported as a raw diagnostic.
+    """
+    count = log_cube(n)
+    if walk.length < count:
+        raise ValueError(f"walk length {walk.length} < ceil(log^3 n) = {count}")
+    cut = -(n ** (delta / 2.0)) * math.ceil(math.log(n) ** 1.5)
+    return min_weighted_stat(walk, count) <= cut

@@ -241,12 +241,23 @@ class TestExponents:
 
 
 class TestConfigFile:
+    def test_plain_key_supplies_default(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("trials=500\ngp.persist.alpha=0.25\n# a comment\n")
+        res = runner.invoke(main, ["--config", str(cfg), "gp", "persist",
+                                   "--N", "50", "--seed", "3"])
+        assert res.exit_code == 0
+        fields = lines(res)[1].split(",")
+        assert fields[1] == "0.25"
+        assert fields[2] == "500"
+
     @pytest.mark.parametrize("args, want", [
         (["gp", "persist", "--N", "50", "--seed", "3"], {1: "0.25", 2: "500"}),
         (["estimate-r", "--n", "10", "--seed", "3"], {4: "500"}),
         (["exponents", "solve", "--output", "csv"], {0: "", 1: "2"}),
     ], ids=["gp-persist", "estimate-r", "exponents-solve"])
-    def test_plain_key_supplies_default(self, runner, tmp_path, args, want):
+    def test_plain_key_supplies_default_per_command(self, runner, tmp_path,
+                                                    args, want):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("trials=500\nbeta_override=2\ngp.persist.alpha=0.25\n"
                        "# a comment\n")

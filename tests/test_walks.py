@@ -428,3 +428,76 @@ class TestConcentrationChecks:
         assert not passes(total=mean - 4.1 * se)
         # a total at the exact mean still fails once it clears the envelope
         assert not passes(total=mean, finite_bound=mean - 2 * diag.ci_halfwidth)
+    def test_log_prefix_bound_holds_when_applicable(self):
+        n, delta = 100, 0.1
+        rng = RandomStream(23, 0)
+        seen_applicable = 0
+        cap_want = 2.0 * n ** (delta / 2.0) * math.ceil(math.log(n) ** 1.5)
+        for _ in range(300):
+            w = walks.gen_walk(walks.log_cube(n), rng)
+            applicable, holds, value, cap = walks.log_prefix_bound_check(n, delta, w)
+            assert cap == pytest.approx(cap_want)
+            if applicable:
+                seen_applicable += 1
+                assert holds is True
+                assert value <= cap
+            else:
+                assert holds is None
+        assert seen_applicable > 0
+
+    def test_log_prefix_bound_short_walk(self):
+        w = walks.gen_walk(5, RandomStream(24, 0))
+        with pytest.raises(ValueError, match="log"):
+            walks.log_prefix_bound_check(100, 0.1, w)
+
+
+class TestLargeNDiagnostics:
+    def test_drift_gap_empty_range_is_false(self):
+        # at n=10^4, floor(n^0.24) = 9 < ceil(log^3 n) = 782
+        w = walks.gen_walk(9, RandomStream(25, 0))
+        assert walks.event_log_drift_gap(10**4, 0.24, w) is False
+
+    def test_drift_gap_inner_inequality(self, monkeypatch):
+        # the range past the burn-in opens up only around n ~ 1e28 with
+        # gamma < 1/4, so shrink the burn-in to exercise the inequality
+        monkeypatch.setattr(walks, "log_cube", lambda n: 2)
+        n, gamma, length = 10**4, 0.24, 9
+        w = walks.gen_walk(length, RandomStream(26, 0))
+        got = walks.event_log_drift_gap(n, gamma, w)
+        logs = np.log(w.s_prime[2:length]) - np.log(w.s[2:length])
+        jj = np.arange(3.0, length + 1.0)
+        drift = (w.r_prime[2:length] - w.r[2:length]) / jj
+        gap = np.cumsum(logs) - np.cumsum(drift)
+        assert got == bool((gap > math.log(n) ** 3).any())
+
+    def test_drift_gap_positive_case(self, monkeypatch):
+        monkeypatch.setattr(walks, "log_cube", lambda n: 2)
+        # S much larger than j makes the log side nearly flat while the
+        # drift side dives, so the gap blows past log^3 n
+        x = np.full(9, 1000.0)
+        xp = np.full(9, 1e-12)
+        w = _path_from_increments(x, xp)
+        assert walks.event_log_drift_gap(10**4, 0.24, w) is True
+
+    def test_drift_gap_bound_decays(self):
+        assert walks.log_drift_gap_bound(10**8) < walks.log_drift_gap_bound(10**4)
+
+    def test_early_min_drop_matches_direct(self):
+        n, delta = 100, 0.1
+        count = walks.log_cube(n)
+        rng = RandomStream(27, 0)
+        hits = 0
+        for _ in range(200):
+            w = walks.gen_walk(count, rng)
+            got = walks.event_early_min_drop(n, delta, w)
+            cut = -(n ** (delta / 2.0)) * math.ceil(math.log(n) ** 1.5)
+            want = walks.min_weighted_stat(w, count) <= cut
+            assert got == want
+            hits += got
+        # the drop is a tail event; most paths should not hit it
+        assert hits < 100
+
+    def test_early_min_drop_short_walk(self):
+        w = walks.gen_walk(5, RandomStream(28, 0))
+        with pytest.raises(ValueError):
+            walks.event_early_min_drop(100, 0.1, w)
