@@ -199,7 +199,7 @@ def main(ctx, config_path):
 @output_options()
 def exact_cmd(want_p, want_r, weights, cap, two_sided, output_format, out):
     """Exact probabilities over whole weight classes: p(n) by a
-    Durfee-square count, r(n) by exhausting ordered pairs."""
+    Durfee-square count, r(n) by a pair DP."""
     started = time.perf_counter()
     if want_p == want_r:
         raise click.UsageError("exactly one of --p or --r is required")

@@ -7,8 +7,8 @@ and unranking (which in turn powers exact uniform sampling).  An
 independently implemented pentagonal-number recurrence cross-checks
 the table.  Graphical partitions are counted without listing them, by
 a dynamic program over the Durfee-square decomposition; dominance-
-comparable pairs are counted by pair exhaustion.  Probabilities are
-exact rationals throughout.
+comparable pairs by a pair DP that chooses the parts of both partitions
+in step.  Probabilities are exact rationals throughout.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ __all__ = [
 #: Default cap on n for exact_p: the range over which the Durfee count is
 #: tested against full enumeration.
 ENUMERATION_CAP = 60
-#: Default cap for exhaustion over ordered pairs of partitions (exact_r).
+#: Default cap on n for exact_r: the range over which the pair DP is
+#: tested against pair exhaustion.
 PAIR_CAP = 30
 
 
@@ -259,32 +260,96 @@ def exact_p(n, *, cap=ENUMERATION_CAP):
     return Fraction(hits, total)
 
 
+def _dominance_pairs(n, table):
+    """Ordered pairs (lam, mu) of partitions of n >= 1 with lam <= mu.
+
+    The parts of lam and mu are chosen in step.  After some steps lam's
+    prefix sum is L, its last part a, mu's last part b, and mu leads by
+    D = M - L >= 0, M being mu's prefix sum; ``R[L][a, b, D]`` counts
+    the ways to finish both.  Once M = n (D = n - L) every later prefix
+    condition holds, so R is c(n - L, a).  Otherwise lam's next part is
+    some a2 in 1..a and mu's some b2 in 1..b with D + b2 - a2 >= 0, so
+
+        R[L][a, b, D] = sum_{a2 <= a, b2 <= b} R[L+a2][a2, b2, D+b2-a2],
+
+    a rectangle sum, taken by two cumsums, of one sheared gather.
+    R[L] depends on a and b only through min(a, n - L) and
+    min(b, n - L), and a <= L since a is a part of lam, so level L
+    stores a <= min(L, n - L) and b, D <= n - L: about 0.073 n^4 int64
+    cells in all.  Level 0 is the single state (a, b, D) = (n, n, 0).
+    Every count is at most pi(n)^2, which the caller keeps below 2^63.
+    """
+    rows = [min(L, n - L) for L in range(n + 1)]
+    sizes = [(rows[L] + 1) * (n - L + 1) ** 2 for L in range(n + 1)]
+    # levels are stored flat from L = n down; cell 0 is a zero that
+    # stands in for every out-of-range read
+    offset = np.zeros(n + 1, dtype=np.int64)
+    end = 1
+    for L in range(n, 0, -1):
+        offset[L] = end
+        end += sizes[L]
+    store = np.zeros(end, dtype=np.int64)
+    store[offset[n]] = 1
+    restricted = np.array(table._table, dtype=np.int64)
+
+    def gather(L, top, depth):
+        # R[L+a2][a2, b2, D+b2-a2] for a2 in 1..top, b2 in 1..n-L and
+        # D in 0..depth-1, zero where mu's lead would go negative or
+        # its prefix past n
+        B = n - L
+        a2 = np.arange(1, top + 1)[:, None]
+        b2 = np.arange(1, B + 1)
+        rest = B - a2
+        cell = (offset[L + a2]
+                + (np.minimum(a2, rest) * (rest + 1) + np.minimum(b2, rest)) * (rest + 1)
+                + b2 - a2)
+        D = np.arange(depth)
+        index = cell[:, :, None] + D
+        index[(D < (a2 - b2)[:, :, None]) | (D > (B - b2)[:, None])] = 0
+        return store[index]
+
+    for L in range(n - 1, 0, -1):
+        A, B = rows[L], n - L
+        level = store[offset[L]: offset[L] + sizes[L]].reshape(A + 1, B + 1, B + 1)
+        inner = gather(L, A, B)
+        np.cumsum(inner, axis=0, out=inner)
+        np.cumsum(inner, axis=1, out=inner)
+        level[1:, 1:, :B] = inner
+        level[:, :, B] = restricted[B, : A + 1, None]
+    return int(gather(0, n, 1).sum())
+
+
+#: Largest n whose pi(n)^2 ordered pairs fit the pair DP's int64 cells.
+_PAIR_DP_MAX_N = max(
+    n for n, pi_n in enumerate(pentagonal_counts(150)) if pi_n * pi_n < 2**63
+)
+
+
 def comparable_count(n, *, cap=PAIR_CAP, two_sided=False):
-    """(comparable ordered pairs of partitions of n, pi(n)) by exhaustion.
+    """(comparable ordered pairs of partitions of n, pi(n)) by a pair DP.
 
     A pair (lam, mu) counts when lam <= mu in dominance; ties count.
     With ``two_sided=True`` pairs comparable in either direction count
-    instead, which by antisymmetry is 2*one_sided - pi(n) pairs.  Pair
-    exhaustion is quadratic in pi(n), hence the cap (default 30).
+    instead, which by antisymmetry is 2*one_sided - pi(n) pairs.  The
+    DP (see _dominance_pairs) takes O(n^4) numpy work and about
+    0.6 n^4 bytes, and keeps nothing between calls.  The default cap
+    (30) is the range over which it is tested against pair exhaustion;
+    pass cap= to go beyond it.  Above n = 124 the pair count no longer
+    fits int64, and such n is refused whatever the cap.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > cap:
         raise ValueError(f"n = {n} above pair-exhaustion cap {cap}; pass cap= to force")
-    if n == 0:
-        return 1, 1
-    plist = list(_part_tuples(n))
-    count = len(plist)
-    width = max(len(p) for p in plist)
-    mat = np.zeros((count, width), dtype=np.int64)
-    for i, parts in enumerate(plist):
-        mat[i, : len(parts)] = parts
-    pref = mat.cumsum(axis=1)
-    # row i is dominated by row j iff pref[i] <= pref[j] entrywise
-    comparable = 0
-    for i in range(count):
-        comparable += int((pref >= pref[i]).all(axis=1).sum())
-    pairs = 2 * comparable - count if two_sided else comparable
+    if n > _PAIR_DP_MAX_N:
+        raise ValueError(
+            f"n = {n} above {_PAIR_DP_MAX_N}, the largest n whose pi(n)^2 "
+            "pairs fit the pair DP's int64 counts"
+        )
+    table = PartitionTable(n)
+    count = table.count(n)
+    one_sided = _dominance_pairs(n, table) if n else 1
+    pairs = 2 * one_sided - count if two_sided else one_sided
     return pairs, count
 
 

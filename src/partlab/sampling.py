@@ -46,7 +46,7 @@ import numpy as np
 
 from .counting import build_table, unrank
 from .partitions import Partition
-from .stats import C_SCALE, make_estimate
+from .stats import C_SCALE, MC_BLOCK_ELEMENTS, make_estimate
 
 __all__ = [
     "BOLTZMANN_MAX_N",
@@ -389,6 +389,15 @@ def sample_uniform_batch(n, count, rng, *, method="exact", table=None,
     return list(batch), attempts
 
 
+def _hits_in_blocks(batch, trials, test):
+    """Sum of ``test(rows)``, a row-wise boolean test on the trials
+    ``rows``, over blocks of at most MC_BLOCK_ELEMENTS // K trials, so
+    the test's temporaries stay bounded by the block."""
+    step = max(1, MC_BLOCK_ELEMENTS // max(1, batch.head.shape[1]))
+    return sum(int(test(np.arange(lo, min(lo + step, trials))).sum())
+               for lo in range(0, trials, step))
+
+
 def estimate_p_mc(n, trials, rng, *, method="exact", table=None,
                   max_rejections=10**7):
     """Monte Carlo estimate of the probability that a uniform partition
@@ -396,15 +405,25 @@ def estimate_p_mc(n, trials, rng, *, method="exact", table=None,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     batch, _ = _draw(n, trials, rng, method, table, max_rejections)
-    return make_estimate("p-graphical", int(batch.graphical().sum()), trials, n=n)
+
+    def graphical(rows):
+        return (batch if len(rows) == trials else batch._select(rows)).graphical()
+
+    return make_estimate("p-graphical", _hits_in_blocks(batch, trials, graphical),
+                         trials, n=n)
 
 
 def estimate_r_mc(n, trials, rng, *, method="exact", table=None,
                   max_rejections=10**7):
     """Monte Carlo estimate of the probability that lam <= mu in
-    dominance for an independent uniform pair (lam, mu) of weight n."""
+    dominance for an independent uniform pair (lam, mu) of weight n;
+    draw 2i is lam and draw 2i+1 is mu of trial i."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     batch, _ = _draw(n, 2 * trials, rng, method, table, max_rejections)
-    hits = int(batch[0::2].dominated_by(batch[1::2]).sum())
-    return make_estimate("r-dominance", hits, trials, n=n)
+
+    def dominated(rows):
+        return batch._select(2 * rows).dominated_by(batch._select(2 * rows + 1))
+
+    return make_estimate("r-dominance", _hits_in_blocks(batch, trials, dominated),
+                         trials, n=n)

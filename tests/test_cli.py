@@ -61,11 +61,55 @@ class TestExact:
         res = runner.invoke(main, ["exact", "--p", "--n", "99"])
         assert res.exit_code == 2
         assert res.output == "error: n = 99 above cap 60; pass --cap to force\n"
+        res = runner.invoke(main, ["exact", "--r", "--n", "31"])
+        assert res.exit_code == 2
+        assert res.output == "error: n = 31 above cap 30; pass --cap to force\n"
 
     def test_cap_override(self, runner):
         res = runner.invoke(main, ["exact", "--r", "--n", "31", "--cap", "31"])
         assert res.exit_code == 0
         assert lines(res)[1].startswith("31,")
+
+    def test_r_json_payload_at_cap(self, runner):
+        # the payload pair exhaustion wrote, byte for byte
+        res = runner.invoke(main, ["exact", "--r", "--n", "30", "--output", "json"])
+        assert res.exit_code == 0
+        assert res.output == """\
+{
+  "manifest": {
+    "artifact": "partlab",
+    "parameters": {
+      "cap": 30,
+      "mode": "r",
+      "n": [
+        30
+      ],
+      "two_sided": false
+    },
+    "provenance": {
+      "comparable_pairs": "counting.comparable_count",
+      "r_exact": "counting.exact_r"
+    },
+    "seed": null,
+    "subcommand": "exact",
+    "version": "0.1.0"
+  },
+  "results": [
+    {
+      "comparable_pairs": 11253557,
+      "n": 30,
+      "r_exact": "11253557/31404816"
+    }
+  ]
+}
+"""
+
+    def test_r_int64_limit_is_one_line(self, runner):
+        res = runner.invoke(main, ["exact", "--r", "--n", "125", "--cap", "125"])
+        assert res.exit_code == 2
+        assert res.output == (
+            "error: n = 125 above 124, the largest n whose pi(n)^2 pairs fit "
+            "the pair DP's int64 counts\n")
 
 
 class TestSample:

@@ -1,5 +1,7 @@
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from partlab import counting
@@ -147,6 +149,21 @@ def _dominates_bruteforce(a, b):
     return True
 
 
+def _comparable_by_exhaustion(n):
+    """One-sided comparable pairs of partitions of n, by testing every
+    ordered pair on its padded prefix sums; the pair DP's oracle."""
+    if n == 0:
+        return 1
+    plist = [lam.parts for lam in counting.enumerate_partitions(n)]
+    width = max(len(p) for p in plist)
+    mat = np.zeros((len(plist), width), dtype=np.int64)
+    for i, parts in enumerate(plist):
+        mat[i, : len(parts)] = parts
+    pref = mat.cumsum(axis=1)
+    # row i is dominated by row j iff pref[i] <= pref[j] entrywise
+    return sum(int((pref >= pref[i]).all(axis=1).sum()) for i in range(len(plist)))
+
+
 class TestExactR:
     def test_pinned_values(self):
         assert counting.exact_r(1) == 1
@@ -187,3 +204,41 @@ class TestExactR:
         with pytest.raises(ValueError, match="pair-exhaustion cap"):
             counting.exact_r(31)
         assert counting.exact_r(31, cap=31) is not None
+
+    def test_pair_dp_matches_exhaustion(self):
+        for n in range(31):
+            one = _comparable_by_exhaustion(n)
+            pi_n = counting.pentagonal_counts(n)[n]
+            assert counting.comparable_count(n) == (one, pi_n), n
+            assert counting.comparable_count(n, two_sided=True) == (
+                2 * one - pi_n, pi_n), n
+
+    def test_pinned_counts_beyond_exhaustion(self):
+        # from an independent memoised recursion over (lam_k, mu_k,
+        # Lambda_k, M_k - Lambda_k)
+        for n, pairs in ((60, 290398410667), (100, 10240503131091466)):
+            assert counting.comparable_count(n, cap=n) == (
+                pairs, counting.pentagonal_counts(n)[n])
+
+    @pytest.mark.parametrize("n", [125, 200, 10**6])
+    def test_int64_limit_refused_before_allocating(self, n):
+        # pi(124)^2 < 2^63 <= pi(125)^2
+        pi = counting.pentagonal_counts(125)
+        assert pi[124] ** 2 < 2**63 <= pi[125] ** 2
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="int64"):
+                counting.comparable_count(n, cap=n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
+
+    def test_pair_dp_memory_is_bounded(self):
+        tracemalloc.start()
+        try:
+            counting.comparable_count(60, cap=60)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20

@@ -279,3 +279,34 @@ class TestEstimators:
         a = sampling.estimate_p_mc(14, 1500, RandomStream(21, 0), method="fristedt")
         b = sampling.estimate_p_mc(14, 1500, RandomStream(21, 0), method="fristedt")
         assert a == b
+
+    @pytest.mark.parametrize("estimator", ["estimate_p_mc", "estimate_r_mc"])
+    @pytest.mark.parametrize("n, trials, method", [
+        (10**3, 1000, "fristedt-pdc"), (40, 1500, "exact")])
+    def test_row_blocks_leave_hits_unchanged(self, monkeypatch, estimator, n,
+                                             trials, method):
+        def run():
+            return getattr(sampling, estimator)(
+                n, trials, RandomStream(26, 0), method=method)
+
+        whole = run()
+        # at most 10^4 // K rows per block: many blocks and a short last one
+        monkeypatch.setattr(sampling, "MC_BLOCK_ELEMENTS", 10**4)
+        assert run() == whole
+
+    @pytest.mark.parametrize("estimator, trials", [
+        ("estimate_p_mc", 2000), ("estimate_r_mc", 1000)])
+    def test_row_blocks_bound_the_test_temporaries(self, monkeypatch, estimator,
+                                                   trials):
+        def peak():
+            tracemalloc.start()
+            try:
+                getattr(sampling, estimator)(10**3, trials, RandomStream(27, 0),
+                                             method="fristedt-pdc")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        whole = peak()
+        monkeypatch.setattr(sampling, "MC_BLOCK_ELEMENTS", 10**4)
+        assert peak() < 0.75 * whole
