@@ -259,7 +259,7 @@ def sample_cmd(n, trials, method, seed, max_rejections, dump, output_format, out
     """Draw uniform random partitions of a given weight."""
     started = time.perf_counter()
     rng = RandomStream(seed, 0)
-    parts, attempts = sampling.sample_uniform_batch(
+    batch, attempts = sampling.sample_uniform_batch(
         n, trials, rng, method=method, max_rejections=max_rejections
     )
     params = {"n": n, "trials": trials, "method": method,
@@ -268,7 +268,7 @@ def sample_cmd(n, trials, method, seed, max_rejections, dump, output_format, out
         _emit(subcommand="sample", parameters=params, columns=("parts",),
               rows=(), output_format=output_format, out=out, seed=seed,
               provenance={"parts": "sampling.sample_uniform_batch"},
-              started=started, text_lines=[lam.to_text() for lam in parts])
+              started=started, text_lines=[lam.to_text() for lam in batch])
     else:
         _emit(subcommand="sample", parameters=params,
               columns=("n", "method", "trials", "attempts", "seed"),

@@ -50,6 +50,8 @@ __all__ = [
 
 #: Largest N for which the dense covariance factorization is offered.
 CHOLESKY_CAP = 2000
+#: Ternary-search steps per level in _search_exponents: (2/3)^120 ~ 1e-21.
+_SEARCH_ITERS = 120
 
 
 def harmonic(k):
@@ -163,17 +165,17 @@ def g_rho(rho):
     return 1.0 + 2.0 * (x / (1.0 - x) + 0.5 * math.log(rho) * x / (1.0 - x) ** 2)
 
 
-def solve_rho_star(tolerance=1e-12, *, lo=1.000001, hi=1e6, scan_points=80):
+def solve_rho_star(tolerance=1e-12, *, lo=1.000001, hi=1e6):
     """Root of g(rho) = 5/4 by bisection.
 
-    A log-spaced scan first verifies g decreases over (lo, hi) and that
-    the bracket straddles 5/4; bisection then runs until the residual
-    |g(mid) - 5/4| drops to ``tolerance``.
+    An 80-point log-spaced scan first verifies g decreases over (lo, hi)
+    and that the bracket straddles 5/4; bisection then runs until the
+    residual |g(mid) - 5/4| drops to ``tolerance``.
     """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tolerance < math.inf:
+        raise ValueError("tolerance must be finite and positive")
     target = 1.25
-    grid = np.exp(np.linspace(math.log(lo), math.log(hi), scan_points))
+    grid = np.exp(np.linspace(math.log(lo), math.log(hi), 80))
     vals = [g_rho(float(r)) for r in grid]
     if any(b >= a for a, b in zip(vals, vals[1:])):
         raise RuntimeError("g(rho) is not decreasing on the scan grid")
@@ -233,7 +235,7 @@ class ExponentSolution:
         }
 
 
-def _search_exponents(beta, iters=120):
+def _search_exponents(beta):
     # nested ternary search of max_{delta,gamma} min(...) over
     # 0 < delta < gamma < 1/4; the objective is jointly concave
     def value(delta, gamma):
@@ -241,7 +243,7 @@ def _search_exponents(beta, iters=120):
 
     def best_gamma(delta):
         a, b = delta, 0.25
-        for _ in range(iters):
+        for _ in range(_SEARCH_ITERS):
             m1 = a + (b - a) / 3.0
             m2 = b - (b - a) / 3.0
             if value(delta, m1) < value(delta, m2):
@@ -252,7 +254,7 @@ def _search_exponents(beta, iters=120):
         return g, value(delta, g)
 
     a, b = 0.0, 0.25
-    for _ in range(iters):
+    for _ in range(_SEARCH_ITERS):
         m1 = a + (b - a) / 3.0
         m2 = b - (b - a) / 3.0
         if best_gamma(m1)[1] < best_gamma(m2)[1]:
@@ -263,26 +265,25 @@ def _search_exponents(beta, iters=120):
     return d, best_gamma(d)[0]
 
 
-def optimize_exponents(beta, *, rho_star=None, cross_check=True):
+def optimize_exponents(beta, *, rho_star=None):
     """Maximin solution of min(1/2 - 2 gamma, delta/2, beta (gamma - delta)).
 
     At the optimum all three terms are equal, which gives the closed
     form delta = beta/(2 + 5 beta), gamma = 1/4 - delta/4, and
     exponent = delta/2.  A derivative-free nested ternary search over
     the feasible region re-derives the optimum to 1e-6 as a guard
-    against algebra slips (disable with cross_check=False).
+    against algebra slips.
     """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    if not 0 < beta < math.inf:
+        raise ValueError("beta must be finite and positive")
     delta = beta / (2.0 + 5.0 * beta)
     gamma = 0.25 - delta / 4.0
-    if cross_check:
-        d2, g2 = _search_exponents(beta)
-        if abs(d2 - delta) > 1e-6 or abs(g2 - gamma) > 1e-6:
-            raise RuntimeError(
-                "closed-form optimum disagrees with direct search: "
-                f"({delta}, {gamma}) vs ({d2}, {g2})"
-            )
+    d2, g2 = _search_exponents(beta)
+    if abs(d2 - delta) > 1e-6 or abs(g2 - gamma) > 1e-6:
+        raise RuntimeError(
+            "closed-form optimum disagrees with direct search: "
+            f"({delta}, {gamma}) vs ({d2}, {g2})"
+        )
     return ExponentSolution(
         rho_star=rho_star,
         beta=beta,

@@ -29,11 +29,12 @@ the first-success law exactly, so the samples are uniform for any K.
 Accepted samples come back as a :class:`PartitionBatch` in
 multiplicity form: an integer matrix of the multiplicities of parts
 1..K (for ``pdc`` the count of part 1 is the residual) and sparse
-(row, part, multiplicity) triples for the parts above K.  The
-estimators run the Erdos-Gallai and dominance tests on that form with
-array code; ``Partition`` objects are built only when a batch is
-iterated.  The exact sampler's draws are packed into the same form, so
-each estimator has one test path.
+(row, part, multiplicity) triples for the parts above K; the exact
+sampler's draws are packed into the same form.  ``sample_uniform_batch``
+is the one draw entry point for every method and returns that batch.
+The estimators draw through it and run the Erdos-Gallai and dominance
+tests on the batch with array code; ``Partition`` objects are built
+only when a batch is indexed or iterated.
 """
 
 from __future__ import annotations
@@ -352,22 +353,30 @@ def sample_fristedt_batch(n, count, rng, *, max_rejections=10**7, pdc=False):
         heads.append(head)
         tails.append((index[row[keep]], part[keep], mult[keep]))
         accepted += len(took)
+        # free this block before the next one is drawn
+        del mults, weight, residual, ok
 
     row, part, mult = (np.concatenate(column) for column in zip(*tails))
     return PartitionBatch(n, np.concatenate(heads), row, part, mult), attempts
 
 
-def _draw(n, count, rng, method, table, max_rejections):
-    """(PartitionBatch, attempts) from the named method; see
-    sample_uniform_batch."""
+def sample_uniform_batch(n, count, rng, *, method="exact", max_rejections=10**7):
+    """Draw ``count`` uniform partitions of n with the named method;
+    returns (PartitionBatch, attempts).
+
+    method: 'exact' (unranking through a counting table built for n,
+    up to EXACT_TABLE_CAP), 'fristedt' (plain rejection), or
+    'fristedt-pdc'.  For 'exact', attempts == count.  The batch is in
+    multiplicity form; ``Partition`` objects are built only when it is
+    indexed or iterated.
+    """
     if method == "exact":
-        if table is None:
-            if n > EXACT_TABLE_CAP:
-                raise ValueError(
-                    f"n = {n} above the exact sampler's table cap "
-                    f"{EXACT_TABLE_CAP}; use method 'fristedt-pdc'"
-                )
-            table = build_table(n)
+        if n > EXACT_TABLE_CAP:
+            raise ValueError(
+                f"n = {n} above the exact sampler's table cap "
+                f"{EXACT_TABLE_CAP}; use method 'fristedt-pdc'"
+            )
+        table = build_table(n)
         drawn = [sample_exact_uniform(table, n, rng) for _ in range(count)]
         return PartitionBatch.from_partitions(n, drawn), count
     if method in ("fristedt", "fristedt-pdc"):
@@ -376,54 +385,33 @@ def _draw(n, count, rng, method, table, max_rejections):
     raise ValueError(f"unknown sampling method {method!r}")
 
 
-def sample_uniform_batch(n, count, rng, *, method="exact", table=None,
-                         max_rejections=10**7):
-    """Draw ``count`` uniform partitions of n with the named method.
-
-    method: 'exact' (unranking; builds a table up to n when none is
-    passed, for n up to EXACT_TABLE_CAP), 'fristedt' (plain rejection),
-    or 'fristedt-pdc'.  Returns (list of Partition, attempts); for
-    'exact', attempts == count.
-    """
-    batch, attempts = _draw(n, count, rng, method, table, max_rejections)
-    return list(batch), attempts
-
-
-def _hits_in_blocks(batch, trials, test):
-    """Sum of ``test(rows)``, a row-wise boolean test on the trials
-    ``rows``, over blocks of at most MC_BLOCK_ELEMENTS // K trials, so
-    the test's temporaries stay bounded by the block."""
-    step = max(1, MC_BLOCK_ELEMENTS // max(1, batch.head.shape[1]))
-    return sum(int(test(np.arange(lo, min(lo + step, trials))).sum())
-               for lo in range(0, trials, step))
-
-
-def estimate_p_mc(n, trials, rng, *, method="exact", table=None,
-                  max_rejections=10**7):
-    """Monte Carlo estimate of the probability that a uniform partition
-    of n is graphical."""
+def _estimate(event, n, trials, draws, rng, method, max_rejections, test):
+    """Estimate of ``event`` from ``trials`` trials of ``draws`` uniform
+    partitions each.  ``test(batch, rows)``, the row-wise boolean test of
+    the trials ``rows``, runs on blocks of at most MC_BLOCK_ELEMENTS // K
+    trials, so its temporaries stay bounded by the block."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    batch, _ = _draw(n, trials, rng, method, table, max_rejections)
+    batch, _ = sample_uniform_batch(n, draws * trials, rng, method=method,
+                                    max_rejections=max_rejections)
+    step = max(1, MC_BLOCK_ELEMENTS // max(1, batch.head.shape[1]))
+    hits = sum(int(test(batch, np.arange(lo, min(lo + step, trials))).sum())
+               for lo in range(0, trials, step))
+    return make_estimate(event, hits, trials, n=n)
 
-    def graphical(rows):
-        return (batch if len(rows) == trials else batch._select(rows)).graphical()
 
-    return make_estimate("p-graphical", _hits_in_blocks(batch, trials, graphical),
-                         trials, n=n)
+def estimate_p_mc(n, trials, rng, *, method="exact", max_rejections=10**7):
+    """Monte Carlo estimate of the probability that a uniform partition
+    of n is graphical."""
+    return _estimate("p-graphical", n, trials, 1, rng, method, max_rejections,
+                     lambda batch, rows: (batch if len(rows) == trials
+                                          else batch._select(rows)).graphical())
 
 
-def estimate_r_mc(n, trials, rng, *, method="exact", table=None,
-                  max_rejections=10**7):
+def estimate_r_mc(n, trials, rng, *, method="exact", max_rejections=10**7):
     """Monte Carlo estimate of the probability that lam <= mu in
     dominance for an independent uniform pair (lam, mu) of weight n;
     draw 2i is lam and draw 2i+1 is mu of trial i."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    batch, _ = _draw(n, 2 * trials, rng, method, table, max_rejections)
-
-    def dominated(rows):
-        return batch._select(2 * rows).dominated_by(batch._select(2 * rows + 1))
-
-    return make_estimate("r-dominance", _hits_in_blocks(batch, trials, dominated),
-                         trials, n=n)
+    return _estimate("r-dominance", n, trials, 2, rng, method, max_rejections,
+                     lambda batch, rows: batch._select(2 * rows).dominated_by(
+                         batch._select(2 * rows + 1)))

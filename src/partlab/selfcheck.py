@@ -32,7 +32,6 @@ __all__ = [
     "DEFAULT_SEED",
     "CheckResult",
     "format_result",
-    "run_all",
     "run_check",
 ]
 
@@ -452,12 +451,6 @@ def run_check(name, seed=DEFAULT_SEED):
         if check_name == name:
             return func(seed)
     raise ValueError(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
-
-
-def run_all(seed=DEFAULT_SEED, only=None):
-    """Run the battery (or the named subset) and return all results."""
-    names = list(only) if only else CHECK_NAMES
-    return [run_check(name, seed) for name in names]
 
 
 def format_result(result):

@@ -301,6 +301,10 @@ def estimate_event(kind, n, gamma, delta, trials, rng, *,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     length = _walk_length(n, gamma)
+    if delta is not None and not math.isfinite(delta):
+        raise ValueError(f"delta must be finite, got {delta}")
+    if math.isnan(threshold) or math.isnan(multiplier):
+        raise ValueError("threshold and multiplier must not be NaN")
     if kind == "headline":
         if delta is None or delta <= 0:
             raise ValueError("headline event needs delta > 0")
@@ -372,9 +376,11 @@ def check_containment(n, gamma, trials, rng):
 def _ratio_tail_excess(n, delta):
     """Indices j = 1..ceil(log^3 n) and the excess x_j = n^(delta/2)/sqrt(j).
 
-    Raises ValueError, before allocating, when there would be more than
-    RATIO_TAIL_MAX_INDICES indices.
+    Raises ValueError, before allocating, unless delta is finite and
+    positive and there are at most RATIO_TAIL_MAX_INDICES indices.
     """
+    if not 0 < delta < math.inf:
+        raise ValueError("delta must be finite and positive")
     count = log_cube(n)
     if count > RATIO_TAIL_MAX_INDICES:
         raise ValueError(
@@ -469,8 +475,6 @@ def ratio_tail_diagnostic(n, delta, trials, rng):
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
     _, x = _ratio_tail_excess(n, delta)
     count = len(x)
     cuts = 1.0 + x

@@ -12,6 +12,7 @@ from click.testing import CliRunner
 
 from partlab import gaussian, selfcheck
 from partlab.cli import main
+from partlab.partitions import Partition
 
 
 @pytest.fixture()
@@ -137,6 +138,22 @@ class TestSample:
         assert (n, method, trials, seed) == ("10", "fristedt", "5", "9")
         assert int(attempts) >= 5
 
+    def test_summary_builds_no_partition(self, runner, monkeypatch):
+        # without --dump the batch is never unpacked into Partition objects
+        def refuse(*args, **kwargs):
+            raise AssertionError("Partition built")
+
+        monkeypatch.setattr(Partition, "__init__", refuse)
+        monkeypatch.setattr(Partition, "from_sorted", classmethod(refuse))
+        res = runner.invoke(main, ["sample", "--n", "1000", "--trials", "50",
+                                   "--method", "fristedt-pdc", "--seed", "4"])
+        assert res.exit_code == 0, res.output
+        assert lines(res)[1].startswith("1000,fristedt-pdc,50,")
+        with pytest.raises(AssertionError, match="Partition built"):
+            runner.invoke(main, ["sample", "--n", "1000", "--trials", "50",
+                                 "--method", "fristedt-pdc", "--seed", "4", "--dump"],
+                          catch_exceptions=False)
+
     def test_pdc_method_accepted(self, runner):
         res = runner.invoke(main, ["sample", "--n", "30", "--trials", "3",
                                    "--method", "fristedt-pdc", "--seed", "4"])
@@ -239,6 +256,26 @@ class TestSurrogate:
         assert res.exit_code == 0
         fields = lines(res)[1].split(",")
         assert 0.0 <= float(fields[6]) <= 1.0
+
+
+@pytest.mark.parametrize("args", [
+    ["exponents", "solve", "--tolerance", "inf"],
+    ["exponents", "solve", "--tolerance", "nan"],
+    ["exponents", "solve", "--beta-override", "nan"],
+    ["exponents", "solve", "--beta-override", "inf"],
+    ["surrogate", "--event", "headline", "--delta", "nan"],
+    ["surrogate", "--event", "headline", "--delta", "inf"],
+    ["surrogate", "--event", "log", "--threshold", "nan"],
+    ["surrogate", "--event", "headline", "--delta", "0.01", "--multiplier", "nan"],
+])
+def test_non_finite_inputs_are_one_line(runner, args):
+    if args[0] == "surrogate":
+        args = args + ["--n", "1000", "--gamma", "0.2", "--trials", "10", "--seed", "1"]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: ")
+    assert res.stderr.count("\n") == 1
 
 
 class TestGaussianCommands:

@@ -155,6 +155,22 @@ class TestBoltzmannSampler:
             tracemalloc.stop()
         assert peak < 10**6
 
+    def test_one_block_of_draws_alive_at_a_time(self):
+        # 13 blocks of _BATCH x (K - 1) doubles; holding the last block
+        # while the next is drawn would peak near twice the block
+        n = 10**5
+        sampling._boltzmann_plan(n)
+        block = sampling._BATCH * (sampling._head_size(n) - 1) * 8
+        tracemalloc.start()
+        try:
+            _, attempts = sampling.sample_fristedt_batch(
+                n, 100, RandomStream(5, 0), pdc=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert attempts > 2 * sampling._BATCH
+        assert peak < 1.6 * block
+
     @pytest.mark.parametrize("n", [40, 10**4, 10**6])
     def test_plan_tail_is_the_full_prefix(self, n):
         # the full array only repeats its last value past the cut, so
@@ -220,10 +236,8 @@ class TestPartitionBatch:
 
 
 class TestBatchFrontend:
-    def test_exact_attempts_equal_count(self, table):
-        parts, attempts = sampling.sample_uniform_batch(
-            10, 7, RandomStream(12, 0), table=table
-        )
+    def test_exact_attempts_equal_count(self):
+        parts, attempts = sampling.sample_uniform_batch(10, 7, RandomStream(12, 0))
         assert attempts == 7
         assert all(lam.weight == 10 for lam in parts)
 
@@ -244,14 +258,30 @@ class TestBatchFrontend:
         monkeypatch.setattr(sampling, "EXACT_TABLE_CAP", 8)
         with pytest.raises(ValueError, match="table cap 8"):
             sampling.sample_uniform_batch(10, 1, RandomStream(15, 0))
-        # a table passed in is the caller's to size
-        parts, _ = sampling.sample_uniform_batch(
-            10, 2, RandomStream(15, 0), table=counting.build_table(10))
-        assert all(lam.weight == 10 for lam in parts)
 
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="unknown sampling method"):
             sampling.sample_uniform_batch(5, 1, RandomStream(15, 0), method="bogus")
+
+    @pytest.mark.parametrize("method", ["fristedt", "fristedt-pdc"])
+    def test_boltzmann_methods_return_the_sampler_batch(self, method):
+        batch, attempts = sampling.sample_uniform_batch(
+            300, 50, RandomStream(28, 0), method=method)
+        want, want_attempts = sampling.sample_fristedt_batch(
+            300, 50, RandomStream(28, 0), pdc=method == "fristedt-pdc")
+        assert isinstance(batch, sampling.PartitionBatch)
+        assert batch == want
+        assert attempts == want_attempts
+
+    def test_exact_method_packs_the_unranked_draws(self):
+        # K = 13 < 30, so the packed batch has tail parts too
+        n, count = 30, 60
+        batch, attempts = sampling.sample_uniform_batch(n, count, RandomStream(29, 0))
+        table, twin = counting.build_table(n), RandomStream(29, 0)
+        draws = [sampling.sample_exact_uniform(table, n, twin) for _ in range(count)]
+        assert batch == sampling.PartitionBatch.from_partitions(n, draws)
+        assert len(batch.tail_row) > 0
+        assert attempts == count
 
 
 class TestEstimators:

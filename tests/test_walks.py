@@ -376,6 +376,14 @@ class TestConcentrationChecks:
             tracemalloc.stop()
         assert peak < 10**6
 
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, 0.0, -0.1])
+    def test_ratio_tail_needs_finite_positive_delta(self, delta):
+        for fn in (walks.ratio_tail_bound, walks.ratio_tail_exact):
+            with pytest.raises(ValueError, match="finite and positive"):
+                fn(100, delta)
+        with pytest.raises(ValueError, match="finite and positive"):
+            walks.ratio_tail_diagnostic(100, delta, 10, RandomStream(23, 0))
+
     def test_ratio_tail_deterministic(self):
         a = walks.ratio_tail_diagnostic(100, 0.1, 2000, RandomStream(22, 0))
         b = walks.ratio_tail_diagnostic(100, 0.1, 2000, RandomStream(22, 0))
