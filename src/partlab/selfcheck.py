@@ -1,15 +1,15 @@
 """Built-in verification battery.
 
-One function per release check.  Each returns a CheckResult carrying
-the measured values as text, so failures are diagnosable from the
-report alone; randomized checks echo the seed they ran under.  The
-``partlab selfcheck`` subcommand and the acceptance test suite both
-call these functions, so there is exactly one definition of what
-passing means.
+Each release check is registered once, by ``@_check(name, budget=...,
+seeded=...)`` above a body that returns ``(passed, detail)``; the
+detail carries the measured values as text, so failures are
+diagnosable from the report alone.  ``run_check`` owns the timing, the
+budgets and the seed echo of randomized checks.  The ``partlab
+selfcheck`` subcommand and the acceptance test suite both call it, so
+there is exactly one definition of what passing means.
 
-Checks with a stated time budget fail when they blow it; budgets are
-generous (the typical margin is 5-10x) so they only trip on real
-regressions.
+Budgets are generous (the typical margin is 5-10x) so they only trip
+on real regressions.
 """
 
 from __future__ import annotations
@@ -47,19 +47,20 @@ class CheckResult:
     seed: int | None = None
 
 
-def _finish(name, t0, passed, detail, seed=None, budget=None):
-    elapsed = time.perf_counter() - t0
-    if budget is not None:
-        detail += f"; time {elapsed:.1f}s (budget {budget:.0f}s)"
-        passed = passed and elapsed < budget
-    return CheckResult(
-        name=name, passed=passed, detail=detail, seconds=elapsed, seed=seed
-    )
+_CHECKS = {}
 
 
-def check_constants_pipeline(seed=None):
+def _check(name, budget=None, seeded=False):
+    """Register a check body under ``name``, in declaration order."""
+    def register(func):
+        _CHECKS[name] = (func, budget, seeded)
+        return func
+    return register
+
+
+@_check("constants-pipeline", budget=1.0)
+def check_constants_pipeline():
     """rho*, beta, delta, gamma, exponent against their published values."""
-    t0 = time.perf_counter()
     sol = gaussian.solve_exponent_pipeline()
     checks = [
         abs(sol.rho_star - 1528.691213) / 1528.691213 <= 1e-6,
@@ -73,12 +74,12 @@ def check_constants_pipeline(seed=None):
         f"delta={sol.delta:.12f} gamma={sol.gamma:.10f} "
         f"exponent={sol.exponent:.12f}"
     )
-    return _finish("constants-pipeline", t0, all(checks), detail, budget=1.0)
+    return all(checks), detail
 
 
-def check_graphicality_oracles(seed=None):
+@_check("graphicality-oracles", budget=300.0)
+def check_graphicality_oracles():
     """Erdos-Gallai agrees with Havel-Hakimi on every partition, n <= 26."""
-    t0 = time.perf_counter()
     total = 0
     mismatches = 0
     for n in range(27):
@@ -87,14 +88,12 @@ def check_graphicality_oracles(seed=None):
             if is_graphical_eg(parts) != is_graphical_hh(parts):
                 mismatches += 1
     detail = f"{total} partitions over n<=26, {mismatches} mismatches"
-    return _finish(
-        "graphicality-oracles", t0, mismatches == 0, detail, budget=300.0
-    )
+    return mismatches == 0, detail
 
 
-def check_exact_small_values(seed=None):
+@_check("exact-small-values")
+def check_exact_small_values():
     """Hand-derivable exact values of p(n) and r(n)."""
-    t0 = time.perf_counter()
     got = {
         "p(1)": counting.exact_p(1),
         "p(2)": counting.exact_p(2),
@@ -115,13 +114,13 @@ def check_exact_small_values(seed=None):
     detail = ", ".join(f"{k}={got[k]}" for k in got)
     if bad:
         detail += f"; WRONG: {bad}"
-    return _finish("exact-small-values", t0, not bad, detail)
+    return not bad, detail
 
 
-def check_probability_envelope(seed=None):
+@_check("probability-envelope", budget=600.0)
+def check_probability_envelope():
     """1 - pi(n-1)/pi(n) <= p(n) for even n in [4,60]; p(n) <= 0.4258 for
     even n in [20,60].  Exact rational arithmetic end to end."""
-    t0 = time.perf_counter()
     table = counting.build_table(60)
     upper = Fraction(4258, 10000)
     bad = []
@@ -137,19 +136,19 @@ def check_probability_envelope(seed=None):
     detail = f"29 even weights checked; p(60)={last} ~ {float(last):.4f}"
     if bad:
         detail += "; violations: " + "; ".join(bad[:3])
-    return _finish("probability-envelope", t0, not bad, detail, budget=600.0)
+    return not bad, detail
 
 
-def check_counting_oracle(seed=None):
+@_check("counting-oracle", budget=10.0)
+def check_counting_oracle():
     """DP table vs pentagonal recurrence for n <= 500, and pi(100)."""
-    t0 = time.perf_counter()
     table = counting.build_table(500)
     oracle = counting.pentagonal_counts(500)
     diffs = [n for n in range(501) if table.count(n) != oracle[n]]
     pi100 = table.count(100)
     ok = not diffs and pi100 == 190569292
     detail = f"pi agreement n<=500: {501 - len(diffs)}/501; pi(100)={pi100}"
-    return _finish("counting-oracle", t0, ok, detail, budget=10.0)
+    return ok, detail
 
 
 def _rank_counts(table, n, partitions):
@@ -159,10 +158,10 @@ def _rank_counts(table, n, partitions):
     return counts
 
 
-def check_sampler_uniformity(seed=DEFAULT_SEED):
+@_check("sampler-uniformity", budget=60.0, seeded=True)
+def check_sampler_uniformity(seed):
     """Exact-unrank sampler chi-square at n=8; plain-rejection sampler
     vs exact sampler two-sample chi-square at n=20."""
-    t0 = time.perf_counter()
     table = counting.build_table(20)
 
     rng = RandomStream(seed, 61)
@@ -187,12 +186,12 @@ def check_sampler_uniformity(seed=DEFAULT_SEED):
         f"n=8 exact chi-square p={p_one:.4f}; n=20 two-sample p={p_two:.4f} "
         f"(rejection acceptance ~1/{attempts / 10**4:.1f})"
     )
-    return _finish("sampler-uniformity", t0, ok, detail, seed, budget=60.0)
+    return ok, detail
 
 
-def check_mc_vs_exact(seed=DEFAULT_SEED):
+@_check("mc-vs-exact", budget=60.0, seeded=True)
+def check_mc_vs_exact(seed):
     """estimate_p at n=40 vs the exact value, within 4 standard errors."""
-    t0 = time.perf_counter()
     est = sampling.estimate_p_mc(40, 10**5, RandomStream(seed, 7))
     exact = float(counting.exact_p(40))
     se = est.ci_halfwidth / Z95
@@ -201,13 +200,13 @@ def check_mc_vs_exact(seed=DEFAULT_SEED):
         f"estimate={est.estimate:.5f} exact={exact:.5f} "
         f"|gap|={gap:.5f} vs 4se={4 * se:.5f}"
     )
-    return _finish("mc-vs-exact", t0, gap <= 4 * se, detail, seed, budget=60.0)
+    return gap <= 4 * se, detail
 
 
-def check_covariance_law(seed=DEFAULT_SEED):
+@_check("covariance-law", budget=60.0, seeded=True)
+def check_covariance_law(seed):
     """Closed-form covariance vs the brute-force double sum, spot values,
     and the empirical covariance of (Z_5, Z_10)."""
-    t0 = time.perf_counter()
     size = 200
     idx = np.arange(1, size + 1)
     grid = np.minimum.outer(idx, idx).astype(np.longdouble) / np.outer(idx, idx)
@@ -233,35 +232,30 @@ def check_covariance_law(seed=DEFAULT_SEED):
         f"max |closed-brute| = {maxerr:.2e} (<=1e-10); spot values exact: {ok_spot}; "
         f"emp cov(Z5,Z10)={emp:.4f} vs {target:.4f} (5se={5 * se:.4f})"
     )
-    return _finish(
-        "covariance-law", t0, ok_brute and ok_spot and ok_emp, detail, seed,
-        budget=60.0,
-    )
+    return ok_brute and ok_spot and ok_emp, detail
 
 
-def check_gp_law_equivalence(seed=DEFAULT_SEED):
+@_check("gp-law-equivalence", budget=60.0, seeded=True)
+def check_gp_law_equivalence(seed):
     """Two-sample KS on max_{k<=50} Z_k: Cholesky vs incremental sampler."""
-    t0 = time.perf_counter()
     paths = 10**4
     z_inc = gaussian.sample_gp_incremental(50, paths, RandomStream(seed, 91))
     z_cho = gaussian.sample_gp_cholesky(50, paths, RandomStream(seed, 92))
     p = float(_sps.ks_2samp(z_inc.max(axis=1), z_cho.max(axis=1)).pvalue)
     detail = f"KS two-sample p={p:.4f} on {paths} paths per sampler"
-    return _finish("gp-law-equivalence", t0, p > 0.001, detail, seed, budget=60.0)
+    return p > 0.001, detail
 
 
-def check_event_containment(seed=DEFAULT_SEED):
+@_check("event-containment", budget=120.0, seeded=True)
+def check_event_containment(seed):
     """Path-by-path inequality chain eg => log(0) => log(-1), zero
     violations allowed."""
-    t0 = time.perf_counter()
     rep = walks.check_containment(10**4, 0.24, 10**4, RandomStream(seed, 10))
     detail = (
         f"eg {rep.eg_hits}, log(0) {rep.log0_hits}, log(-1) {rep.logneg1_hits} "
         f"of {rep.trials}; violations {rep.violations}"
     )
-    return _finish(
-        "event-containment", t0, rep.violations == 0, detail, seed, budget=120.0
-    )
+    return rep.violations == 0, detail
 
 
 def _ratio_tail_verdict(diag):
@@ -275,7 +269,8 @@ def _ratio_tail_verdict(diag):
     return ok, z
 
 
-def check_ratio_tail_envelope(seed=DEFAULT_SEED):
+@_check("ratio-tail-envelope", budget=300.0, seeded=True)
+def check_ratio_tail_envelope(seed):
     """Summed ratio exceedance frequencies at n = 10^4 vs the finite-n
     Chernoff envelope and the exact Beta-law mean.
 
@@ -287,7 +282,6 @@ def check_ratio_tail_envelope(seed=DEFAULT_SEED):
     3x the mean cannot catch a wrong diagnostic, so the total must also
     lie within 4 standard errors of the exact mean (walks.ratio_tail_exact).
     """
-    t0 = time.perf_counter()
     diag = walks.ratio_tail_diagnostic(
         10**4, 0.006594420627, 10**5, RandomStream(seed, 11)
     )
@@ -298,13 +292,13 @@ def check_ratio_tail_envelope(seed=DEFAULT_SEED):
         f"z={z:+.2f} (|z|<=4); finite-n envelope {diag.finite_bound:.2f}; "
         f"asymptotic 8n^(-delta/2)={diag.bound:.3f} (reference)"
     )
-    return _finish("ratio-tail-envelope", t0, ok, detail, seed, budget=300.0)
+    return ok, detail
 
 
-def check_surrogate_fidelity(seed=DEFAULT_SEED):
+@_check("surrogate-fidelity", budget=300.0, seeded=True)
+def check_surrogate_fidelity(seed):
     """Largest part of uniform partitions of n=10^4 vs the surrogate
     first-row value, total variation over width-10 bins <= 0.1."""
-    t0 = time.perf_counter()
     n = 10**4
     draws = 10**4
     batch, _ = sampling.sample_fristedt_batch(
@@ -323,13 +317,13 @@ def check_surrogate_fidelity(seed=DEFAULT_SEED):
         f"TV={tv:.4f} over {len(bins) - 1} width-10 bins "
         f"(largest-part mean {largest.mean():.1f}, surrogate mean {row1.mean():.1f})"
     )
-    return _finish("surrogate-fidelity", t0, tv <= 0.1, detail, seed, budget=300.0)
+    return tv <= 0.1, detail
 
 
-def check_persistence_monotonicity(seed=DEFAULT_SEED):
+@_check("persistence-monotonicity", budget=300.0, seeded=True)
+def check_persistence_monotonicity(seed):
     """persistence_prob at alpha=0 non-increasing over N in {100,400,1600}
     up to CI slack, with strict decay across the endpoints."""
-    t0 = time.perf_counter()
     ests = [
         gaussian.persistence_prob(n, 0.0, 10**4, RandomStream(seed, 130 + i))
         for i, n in enumerate((100, 400, 1600))
@@ -344,43 +338,30 @@ def check_persistence_monotonicity(seed=DEFAULT_SEED):
         f"N={n}: {e.estimate:.4f} [{e.ci_lo:.4f},{e.ci_hi:.4f}]"
         for n, e in zip((100, 400, 1600), ests)
     )
-    return _finish(
-        "persistence-monotonicity", t0, mono and decay, detail, seed, budget=300.0
-    )
+    return mono and decay, detail
 
 
-def check_determinism(seed=DEFAULT_SEED):
+@_check("determinism", seeded=True)
+def check_determinism(seed):
     """Equal seeds give identical estimates, identical samples, and
     byte-identical CLI result files."""
-    t0 = time.perf_counter()
-    bad = []
-
-    a1 = sampling.estimate_p_mc(12, 2000, RandomStream(seed, 141))
-    a2 = sampling.estimate_p_mc(12, 2000, RandomStream(seed, 141))
-    if a1 != a2:
-        bad.append("estimate_p_mc")
-
-    b1 = walks.estimate_event("eg", 1000, 0.2, None, 500, RandomStream(seed, 142))
-    b2 = walks.estimate_event("eg", 1000, 0.2, None, 500, RandomStream(seed, 142))
-    if b1 != b2:
-        bad.append("estimate_event")
-
-    c1 = gaussian.persistence_prob(100, 0.0, 2000, RandomStream(seed, 143))
-    c2 = gaussian.persistence_prob(100, 0.0, 2000, RandomStream(seed, 143))
-    if c1 != c2:
-        bad.append("persistence_prob")
-
-    d1, _ = sampling.sample_fristedt_batch(100, 50, RandomStream(seed, 144), pdc=True)
-    d2, _ = sampling.sample_fristedt_batch(100, 50, RandomStream(seed, 144), pdc=True)
-    if d1 != d2:
-        bad.append("sample_fristedt_batch")
-
+    reruns = {
+        "estimate_p_mc": lambda: sampling.estimate_p_mc(
+            12, 2000, RandomStream(seed, 141)),
+        "estimate_event": lambda: walks.estimate_event(
+            "eg", 1000, 0.2, None, 500, RandomStream(seed, 142)),
+        "persistence_prob": lambda: gaussian.persistence_prob(
+            100, 0.0, 2000, RandomStream(seed, 143)),
+        "sample_fristedt_batch": lambda: sampling.sample_fristedt_batch(
+            100, 50, RandomStream(seed, 144), pdc=True),
+    }
+    bad = [name for name, rerun in reruns.items() if rerun() != rerun()]
     bad.extend(_cli_determinism(seed))
 
     detail = "library and CLI reruns byte-identical" if not bad else (
         "non-deterministic: " + ", ".join(bad)
     )
-    return _finish("determinism", t0, not bad, detail, seed)
+    return not bad, detail
 
 
 def _cli_determinism(seed):
@@ -425,32 +406,23 @@ def _cli_determinism(seed):
     return bad
 
 
-CHECKS = [
-    ("constants-pipeline", check_constants_pipeline),
-    ("graphicality-oracles", check_graphicality_oracles),
-    ("exact-small-values", check_exact_small_values),
-    ("probability-envelope", check_probability_envelope),
-    ("counting-oracle", check_counting_oracle),
-    ("sampler-uniformity", check_sampler_uniformity),
-    ("mc-vs-exact", check_mc_vs_exact),
-    ("covariance-law", check_covariance_law),
-    ("gp-law-equivalence", check_gp_law_equivalence),
-    ("event-containment", check_event_containment),
-    ("ratio-tail-envelope", check_ratio_tail_envelope),
-    ("surrogate-fidelity", check_surrogate_fidelity),
-    ("persistence-monotonicity", check_persistence_monotonicity),
-    ("determinism", check_determinism),
-]
-
-CHECK_NAMES = [name for name, _ in CHECKS]
+CHECK_NAMES = list(_CHECKS)
 
 
 def run_check(name, seed=DEFAULT_SEED):
-    """Run one named check and return its CheckResult."""
-    for check_name, func in CHECKS:
-        if check_name == name:
-            return func(seed)
-    raise ValueError(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
+    """Run one named check, timed and judged against its budget, and
+    return its CheckResult; the seed is echoed only for seeded checks."""
+    if name not in _CHECKS:
+        raise ValueError(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
+    func, budget, seeded = _CHECKS[name]
+    t0 = time.perf_counter()
+    passed, detail = func(seed) if seeded else func()
+    elapsed = time.perf_counter() - t0
+    if budget is not None:
+        detail += f"; time {elapsed:.1f}s (budget {budget:.0f}s)"
+        passed = passed and elapsed < budget
+    return CheckResult(name=name, passed=passed, detail=detail, seconds=elapsed,
+                       seed=seed if seeded else None)
 
 
 def format_result(result):

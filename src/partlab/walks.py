@@ -237,6 +237,21 @@ def log_cube(n):
     return math.ceil(math.log(n) ** 3)
 
 
+def _require_delta(delta):
+    """Raise ValueError unless delta is finite and positive."""
+    if not 0 < delta < math.inf:
+        raise ValueError("delta must be finite and positive")
+
+
+def _burnin_count(n, delta, walk):
+    """ceil(log^3 n), once delta is checked and ``walk`` is that long."""
+    _require_delta(delta)
+    count = log_cube(n)
+    if walk.length < count:
+        raise ValueError(f"walk length {walk.length} < ceil(log^3 n) = {count}")
+    return count
+
+
 def _walk_length(n, gamma):
     """floor(n**gamma) for an estimator about to draw paths that long.
 
@@ -301,12 +316,12 @@ def estimate_event(kind, n, gamma, delta, trials, rng, *,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     length = _walk_length(n, gamma)
-    if delta is not None and not math.isfinite(delta):
-        raise ValueError(f"delta must be finite, got {delta}")
+    if delta is not None:
+        _require_delta(delta)
     if math.isnan(threshold) or math.isnan(multiplier):
         raise ValueError("threshold and multiplier must not be NaN")
     if kind == "headline":
-        if delta is None or delta <= 0:
+        if delta is None:
             raise ValueError("headline event needs delta > 0")
         cut = headline_threshold(n, delta, multiplier)
         jj = np.arange(1, length + 1, dtype=np.float64)
@@ -379,8 +394,7 @@ def _ratio_tail_excess(n, delta):
     Raises ValueError, before allocating, unless delta is finite and
     positive and there are at most RATIO_TAIL_MAX_INDICES indices.
     """
-    if not 0 < delta < math.inf:
-        raise ValueError("delta must be finite and positive")
+    _require_delta(delta)
     count = log_cube(n)
     if count > RATIO_TAIL_MAX_INDICES:
         raise ValueError(
@@ -515,16 +529,14 @@ def log_prefix_bound_check(n, delta, walk):
     (applicable, holds, value, cap); ``holds`` is None when the ratio
     condition fails, since then the bound promises nothing.
     """
-    count = log_cube(n)
-    if walk.length < count:
-        raise ValueError(f"walk length {walk.length} < ceil(log^3 n) = {count}")
+    count = _burnin_count(n, delta, walk)
     jj = np.arange(1, count + 1, dtype=np.float64)
     ratios = walk.s_prime[:count] / walk.s[:count]
     applicable = bool(np.all(ratios < 1.0 + n ** (delta / 2.0) / np.sqrt(jj)))
     value = float(
         kahan_cumsum(np.log(walk.s_prime[:count]) - np.log(walk.s[:count]))[-1]
     )
-    cap = 2.0 * n ** (delta / 2.0) * math.ceil(math.log(n) ** 1.5)
+    cap = -headline_threshold(n, delta, 2.0)
     holds = (value <= cap) if applicable else None
     return applicable, holds, value, cap
 
@@ -567,8 +579,5 @@ def event_early_min_drop(n, delta, walk):
     This event's probability is asymptotically O(n^(-delta/2)); no
     finite-n target exists, so it is reported as a raw diagnostic.
     """
-    count = log_cube(n)
-    if walk.length < count:
-        raise ValueError(f"walk length {walk.length} < ceil(log^3 n) = {count}")
-    cut = -(n ** (delta / 2.0)) * math.ceil(math.log(n) ** 1.5)
-    return min_weighted_stat(walk, count) <= cut
+    count = _burnin_count(n, delta, walk)
+    return min_weighted_stat(walk, count) <= headline_threshold(n, delta, 1.0)

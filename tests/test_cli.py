@@ -267,6 +267,7 @@ class TestSurrogate:
     ["surrogate", "--event", "headline", "--delta", "inf"],
     ["surrogate", "--event", "log", "--threshold", "nan"],
     ["surrogate", "--event", "headline", "--delta", "0.01", "--multiplier", "nan"],
+    ["surrogate", "--event", "eg", "--delta", "-5"],
 ])
 def test_non_finite_inputs_are_one_line(runner, args):
     if args[0] == "surrogate":

@@ -383,6 +383,12 @@ class TestConcentrationChecks:
                 fn(100, delta)
         with pytest.raises(ValueError, match="finite and positive"):
             walks.ratio_tail_diagnostic(100, delta, 10, RandomStream(23, 0))
+        w = walks.gen_walk(walks.log_cube(100), RandomStream(23, 1))
+        for fn in (walks.log_prefix_bound_check, walks.event_early_min_drop):
+            with pytest.raises(ValueError, match="finite and positive"):
+                fn(100, delta, w)
+        with pytest.raises(ValueError, match="finite and positive"):
+            walks.estimate_event("eg", 1000, 0.2, delta, 10, RandomStream(23, 2))
 
     def test_ratio_tail_deterministic(self):
         a = walks.ratio_tail_diagnostic(100, 0.1, 2000, RandomStream(22, 0))
