@@ -5,9 +5,11 @@ One binary, subcommand style.  Every randomized subcommand requires
 payloads; the volatile fields (wall-clock timestamp, duration) live in
 a ``<out>.manifest.json`` sidecar so the result files themselves stay
 reproducible.  Floats render with 17 significant digits and exact
-rationals as ``num/den``, so nothing is lost in transit.  The CLI does
-no arithmetic of its own: every emitted number comes straight from a
-library call.
+rationals as ``num/den``, so nothing is lost in transit.  Every
+emitted number comes straight from a library call, with one exception:
+``exact`` divides the counts it gets from ``counting`` into the
+rational p(n) or r(n) itself, and its provenance names those counting
+functions.
 
 Errors are one line on stderr, ``error: <reason>``, with a nonzero
 exit code.
@@ -192,12 +194,10 @@ def main(ctx, config_path):
 @click.option("--r", "want_r", is_flag=True, help="Dominance-comparable pair fraction per weight.")
 @click.option("--n", "weights", type=click.IntRange(min=0), multiple=True,
               required=True, help="Weight(s); repeatable.")
-@click.option("--cap", type=click.IntRange(min=0), default=None,
-              help="Override the size cap (60 for --p, 30 for --r).")
 @click.option("--two-sided", is_flag=True,
               help="With --r: count comparability in either direction.")
 @output_options()
-def exact_cmd(want_p, want_r, weights, cap, two_sided, output_format, out):
+def exact_cmd(want_p, want_r, weights, two_sided, output_format, out):
     """Exact probabilities over whole weight classes: p(n) by a
     Durfee-square count, r(n) by a pair DP."""
     started = time.perf_counter()
@@ -205,40 +205,24 @@ def exact_cmd(want_p, want_r, weights, cap, two_sided, output_format, out):
         raise click.UsageError("exactly one of --p or --r is required")
     if two_sided and want_p:
         raise click.UsageError("--two-sided applies to --r only")
-    effective_cap = cap if cap is not None else (
-        counting.ENUMERATION_CAP if want_p else counting.PAIR_CAP
-    )
-    for n in weights:
-        if n > effective_cap:
-            raise click.UsageError(
-                f"n = {n} above cap {effective_cap}; pass --cap to force"
-            )
-    params = {
-        "mode": "p" if want_p else "r", "n": list(weights),
-        "cap": effective_cap, "two_sided": two_sided,
-    }
-    rows = []
+    params = {"mode": "p" if want_p else "r", "n": list(weights),
+              "two_sided": two_sided}
     if want_p:
+        name, kwargs = "graphical_count", {}
         columns = ("n", "pi_n", "graphical_count", "p_exact")
-        provenance = {
-            "pi_n": "counting.graphical_count",
-            "graphical_count": "counting.graphical_count",
-            "p_exact": "counting.exact_p",
-        }
-        for n in weights:
-            hits, total = counting.graphical_count(n, cap=effective_cap)
-            rows.append((n, total, hits, Fraction(hits, total)))
     else:
+        name, kwargs = "comparable_count", {"two_sided": two_sided}
         columns = ("n", "comparable_pairs", "r_exact")
-        provenance = {
-            "comparable_pairs": "counting.comparable_count",
-            "r_exact": "counting.exact_r",
-        }
-        for n in weights:
-            pairs, total = counting.comparable_count(
-                n, cap=effective_cap, two_sided=two_sided
-            )
-            rows.append((n, pairs, Fraction(pairs, total * total)))
+    count = getattr(counting, name)
+    # largest weight first, so one above the library's limit is refused
+    # before any other weight is counted
+    counts = {n: count(n, **kwargs) for n in sorted(set(weights), reverse=True)}
+    rows = []
+    for n in weights:
+        hits, total = counts[n]
+        rows.append((n, total, hits, Fraction(hits, total)) if want_p
+                    else (n, hits, Fraction(hits, total * total)))
+    provenance = dict.fromkeys(columns[1:], f"counting.{name}")
     _emit(subcommand="exact", parameters=params, columns=columns, rows=rows,
           output_format=output_format, out=out, provenance=provenance,
           started=started)

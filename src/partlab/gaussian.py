@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _sps
 
 from .stats import MC_BLOCK_ELEMENTS, kahan_cumsum, make_estimate
 
@@ -50,14 +49,26 @@ __all__ = [
 
 #: Largest N for which the dense covariance factorization is offered.
 CHOLESKY_CAP = 2000
+#: Largest process index: one path of Z_1..Z_n fills at most one Monte
+#: Carlo block, and H_n by fsum takes about 0.3 s.
+_MAX_INDEX = MC_BLOCK_ELEMENTS
 #: Ternary-search steps per level in _search_exponents: (2/3)^120 ~ 1e-21.
 _SEARCH_ITERS = 120
+
+
+def _require_index(n):
+    if n > _MAX_INDEX:
+        raise ValueError(
+            f"index {n} above {_MAX_INDEX}, the largest Gaussian-process "
+            "index (one path per Monte Carlo block)"
+        )
 
 
 def harmonic(k):
     """H_k = sum_{j<=k} 1/j by exact compensated summation; H_0 = 0."""
     if k < 0:
         raise ValueError("k must be nonnegative")
+    _require_index(k)
     return math.fsum(1.0 / j for j in range(1, k + 1))
 
 
@@ -77,7 +88,8 @@ def gp_cov(m, n):
         raise ValueError("indices must be >= 1")
     if m > n:
         m, n = n, m
-    return 2.0 * m - (m + 1.0) * harmonic(m) + m * harmonic(n)
+    h_n = harmonic(n)  # refuses an index above the limit before any sum
+    return 2.0 * m - (m + 1.0) * harmonic(m) + m * h_n
 
 
 def cov_matrix(n):
@@ -109,27 +121,18 @@ def sample_gp_incremental(n, paths, rng):
     return np.cumsum(z, axis=1, out=z)
 
 
-def sample_gp_cholesky(n, paths, rng, *, jitter=0.0, cap=CHOLESKY_CAP):
+def sample_gp_cholesky(n, paths, rng):
     """Exact paths of Z (marginal law only) via dense Cholesky.
 
     Factors the covariance once and returns a (paths, n) array.  Cost
-    is O(n^3), so n is capped (default 2000).  If factorization fails
-    through rounding, retry with a small ``jitter`` added to the
-    diagonal, e.g. 1e-10.
+    is O(n^3), so n is capped at CHOLESKY_CAP, where the covariance
+    still factors without help.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > cap:
-        raise ValueError(f"n = {n} above dense factorization cap {cap}")
-    cov = cov_matrix(n)
-    if jitter:
-        cov = cov + jitter * np.eye(n)
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(
-            "covariance factorization failed; retry with jitter > 0"
-        ) from exc
+    if n > CHOLESKY_CAP:
+        raise ValueError(f"n = {n} above dense factorization cap {CHOLESKY_CAP}")
+    chol = np.linalg.cholesky(cov_matrix(n))
     return rng.standard_normal((paths, n)) @ chol.T
 
 
@@ -141,6 +144,7 @@ def persistence_prob(n, alpha, trials, rng):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    _require_index(n)
     if not 0.0 <= alpha < 0.5:
         raise ValueError("alpha must lie in [0, 1/2)")
     if trials < 1:
@@ -326,5 +330,8 @@ def decay_fit(points):
     y = np.log([p for _, p in pts])
     if np.ptp(x) == 0.0:
         raise ValueError("points must span more than one n")
-    fit = _sps.linregress(x, y)
+    # scipy.stats takes most of a second to import; only fits load it
+    from scipy.stats import linregress
+
+    fit = linregress(x, y)
     return DecayFit(slope=float(fit.slope), stderr=float(fit.stderr))

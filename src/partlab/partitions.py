@@ -26,7 +26,7 @@ __all__ = [
     "kostka",
 ]
 
-#: Default weight cap for `kostka`; tableau enumeration is exponential.
+#: Weight cap for `kostka`; tableau enumeration is exponential.
 KOSTKA_WEIGHT_CAP = 20
 
 
@@ -235,14 +235,13 @@ def gale_ryser(alpha, beta):
     return dominates(a, _conjugate_parts(b))
 
 
-def kostka(lam, mu, *, max_weight=KOSTKA_WEIGHT_CAP):
+def kostka(lam, mu):
     """Number of semistandard Young tableaux of shape lam and content mu.
 
     Counts fillings of the diagram of ``lam`` that use mu_i copies of
     the letter i+1, weakly increasing along rows and strictly
     increasing down columns.  Exhaustive depth-first enumeration with
-    column pruning, so the weight is capped (default 20); pass a
-    larger ``max_weight`` to force bigger instances.
+    column pruning, so the weight is capped at KOSTKA_WEIGHT_CAP (20).
 
     Returns an exact (arbitrary precision) count.
     """
@@ -253,11 +252,8 @@ def kostka(lam, mu, *, max_weight=KOSTKA_WEIGHT_CAP):
         raise ValueError(
             f"kostka undefined: shape weight {w} != content weight {sum(content)}"
         )
-    if w > max_weight:
-        raise ValueError(
-            f"weight {w} above enumeration cap {max_weight}; "
-            "raise max_weight to force"
-        )
+    if w > KOSTKA_WEIGHT_CAP:
+        raise ValueError(f"weight {w} above enumeration cap {KOSTKA_WEIGHT_CAP}")
     if not shape:
         return 1
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import stats as _sps
 
 from . import counting, gaussian, sampling, walks
 from .partitions import is_graphical_eg, is_graphical_hh
@@ -162,13 +161,17 @@ def _rank_counts(table, n, partitions):
 def check_sampler_uniformity(seed):
     """Exact-unrank sampler chi-square at n=8; plain-rejection sampler
     vs exact sampler two-sample chi-square at n=20."""
+    # scipy.stats takes most of a second to import, so only the checks
+    # that use it load it
+    from scipy.stats import chi2, chisquare
+
     table = counting.build_table(20)
 
     rng = RandomStream(seed, 61)
     draws = 10**5
     samples = [sampling.sample_exact_uniform(table, 8, rng) for _ in range(draws)]
     counts = _rank_counts(table, 8, samples)
-    p_one = float(_sps.chisquare(counts).pvalue)
+    p_one = float(chisquare(counts).pvalue)
 
     rng_f = RandomStream(seed, 62)
     rng_e = RandomStream(seed, 63)
@@ -179,7 +182,7 @@ def check_sampler_uniformity(seed):
     used = (c1 + c2) > 0
     stat = float((((c1 - c2) ** 2)[used] / (c1 + c2)[used]).sum())
     dof = int(used.sum()) - 1
-    p_two = float(_sps.chi2.sf(stat, dof))
+    p_two = float(chi2.sf(stat, dof))
 
     ok = p_one > 0.001 and p_two > 0.001
     detail = (
@@ -238,10 +241,12 @@ def check_covariance_law(seed):
 @_check("gp-law-equivalence", budget=60.0, seeded=True)
 def check_gp_law_equivalence(seed):
     """Two-sample KS on max_{k<=50} Z_k: Cholesky vs incremental sampler."""
+    from scipy.stats import ks_2samp
+
     paths = 10**4
     z_inc = gaussian.sample_gp_incremental(50, paths, RandomStream(seed, 91))
     z_cho = gaussian.sample_gp_cholesky(50, paths, RandomStream(seed, 92))
-    p = float(_sps.ks_2samp(z_inc.max(axis=1), z_cho.max(axis=1)).pvalue)
+    p = float(ks_2samp(z_inc.max(axis=1), z_cho.max(axis=1)).pvalue)
     detail = f"KS two-sample p={p:.4f} on {paths} paths per sampler"
     return p > 0.001, detail
 

@@ -101,15 +101,10 @@ def make_estimate(event, hits, trials, n=None, gamma=None, delta=None):
 
 
 def kahan_sum(values):
-    """Kahan compensated sum of a 1-D sequence."""
-    s = 0.0
-    comp = 0.0
-    for v in values:
-        y = float(v) - comp
-        t = s + y
-        comp = (t - s) - y
-        s = t
-    return s
+    """Kahan compensated sum of a 1-D sequence: the last prefix of
+    kahan_cumsum, 0.0 when empty."""
+    prefixes = kahan_cumsum(values)
+    return float(prefixes[-1]) if len(prefixes) else 0.0
 
 
 def kahan_cumsum(values):

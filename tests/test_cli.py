@@ -6,6 +6,7 @@ the packaging metadata rather than these tests.
 """
 
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -59,20 +60,32 @@ class TestExact:
         assert res.output.startswith("error: --two-sided")
 
     def test_cap_violation_is_one_line(self, runner):
-        res = runner.invoke(main, ["exact", "--p", "--n", "99"])
+        # the library refuses the largest weight before counting any
+        started = time.perf_counter()
+        res = runner.invoke(main, ["exact", "--p", "--n", "138", "--n", "139"])
+        assert time.perf_counter() - started < 1.0
         assert res.exit_code == 2
-        assert res.output == "error: n = 99 above cap 60; pass --cap to force\n"
-        res = runner.invoke(main, ["exact", "--r", "--n", "31"])
-        assert res.exit_code == 2
-        assert res.output == "error: n = 31 above cap 30; pass --cap to force\n"
+        assert res.output == (
+            "error: n = 139 above 138, the largest n whose Durfee-square "
+            "count finishes within a minute\n")
 
-    def test_cap_override(self, runner):
-        res = runner.invoke(main, ["exact", "--r", "--n", "31", "--cap", "31"])
+    def test_former_caps_need_no_flag(self, runner):
+        res = runner.invoke(main, ["exact", "--p", "--n", "62"])
         assert res.exit_code == 0
-        assert lines(res)[1].startswith("31,")
+        assert lines(res)[1] == "62,1300156,480408,120102/325039"
+        res = runner.invoke(main, ["exact", "--r", "--n", "40"])
+        assert res.exit_code == 0
+        assert lines(res)[1] == "40,470267954,235133977/697063122"
+        res = runner.invoke(main, ["exact", "--help"])
+        assert "--cap" not in res.output
+        res = runner.invoke(main, ["exact", "--r", "--n", "31", "--cap", "31"])
+        assert res.exit_code == 2
+        assert res.output.startswith("error: No such option")
+        assert res.output.count("\n") == 1
 
     def test_r_json_payload_at_cap(self, runner):
-        # the payload pair exhaustion wrote, byte for byte
+        # the payload pair exhaustion wrote at n = 30, byte for byte,
+        # with the counting function that runs as provenance
         res = runner.invoke(main, ["exact", "--r", "--n", "30", "--output", "json"])
         assert res.exit_code == 0
         assert res.output == """\
@@ -80,7 +93,6 @@ class TestExact:
   "manifest": {
     "artifact": "partlab",
     "parameters": {
-      "cap": 30,
       "mode": "r",
       "n": [
         30
@@ -89,7 +101,7 @@ class TestExact:
     },
     "provenance": {
       "comparable_pairs": "counting.comparable_count",
-      "r_exact": "counting.exact_r"
+      "r_exact": "counting.comparable_count"
     },
     "seed": null,
     "subcommand": "exact",
@@ -106,7 +118,9 @@ class TestExact:
 """
 
     def test_r_int64_limit_is_one_line(self, runner):
-        res = runner.invoke(main, ["exact", "--r", "--n", "125", "--cap", "125"])
+        started = time.perf_counter()
+        res = runner.invoke(main, ["exact", "--r", "--n", "125"])
+        assert time.perf_counter() - started < 1.0
         assert res.exit_code == 2
         assert res.output == (
             "error: n = 125 above 124, the largest n whose pi(n)^2 pairs fit "
@@ -287,6 +301,20 @@ class TestGaussianCommands:
     def test_cov_matches_library(self, runner):
         res = runner.invoke(main, ["gp", "cov", "--m", "5", "--n", "10"])
         assert float(lines(res)[1].split(",")[2]) == gaussian.gp_cov(5, 10)
+
+    @pytest.mark.parametrize("index, args", [
+        ("1000000000000", ["cov", "--m", "1", "--n", "1000000000000"]),
+        ("1000000000", ["persist", "--N", "1000000000", "--trials", "1",
+                        "--seed", "1"]),
+    ])
+    def test_index_limit_is_one_line(self, runner, index, args):
+        started = time.perf_counter()
+        res = runner.invoke(main, ["gp"] + args)
+        assert time.perf_counter() - started < 1.0
+        assert res.exit_code == 2
+        assert res.output == (
+            f"error: index {index} above 4000000, the largest "
+            "Gaussian-process index (one path per Monte Carlo block)\n")
 
     def test_persist_deterministic(self, runner):
         args = ["gp", "persist", "--N", "50", "--alpha", "0.1",

@@ -130,10 +130,18 @@ class TestExactP:
                 hits, counting.pentagonal_counts(n)[n])
 
     def test_cap(self):
-        with pytest.raises(ValueError, match="enumeration cap"):
-            counting.exact_p(61)
-        with pytest.raises(ValueError, match="cap"):
-            counting.graphical_count(10, cap=9)
+        # one fixed limit, checked before the pentagonal counts or the memo
+        for n in (139, 300, 10**6):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match=(
+                        f"^n = {n} above 138, the largest n whose Durfee-square "
+                        "count finishes within a minute$")):
+                    counting.exact_p(n)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 10**6, n
 
 
 def _dominates_bruteforce(a, b):
@@ -201,9 +209,10 @@ class TestExactR:
             assert recheck == expect
 
     def test_cap(self):
-        with pytest.raises(ValueError, match="pair-exhaustion cap"):
-            counting.exact_r(31)
-        assert counting.exact_r(31, cap=31) is not None
+        # n = 31 needs no override; its count is the exhaustion oracle's
+        assert counting.exact_r(31) == Fraction(16661211, 6842**2)
+        with pytest.raises(ValueError, match="int64"):
+            counting.exact_r(125)
 
     def test_pair_dp_matches_exhaustion(self):
         for n in range(31):
@@ -217,7 +226,7 @@ class TestExactR:
         # from an independent memoised recursion over (lam_k, mu_k,
         # Lambda_k, M_k - Lambda_k)
         for n, pairs in ((60, 290398410667), (100, 10240503131091466)):
-            assert counting.comparable_count(n, cap=n) == (
+            assert counting.comparable_count(n) == (
                 pairs, counting.pentagonal_counts(n)[n])
 
     @pytest.mark.parametrize("n", [125, 200, 10**6])
@@ -228,7 +237,7 @@ class TestExactR:
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="int64"):
-                counting.comparable_count(n, cap=n)
+                counting.comparable_count(n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -237,7 +246,7 @@ class TestExactR:
     def test_pair_dp_memory_is_bounded(self):
         tracemalloc.start()
         try:
-            counting.comparable_count(60, cap=60)
+            counting.comparable_count(60)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

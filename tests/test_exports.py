@@ -1,6 +1,8 @@
-"""Every name a partlab module exports in ``__all__`` exists."""
+"""Every name a partlab module exports in ``__all__`` exists, and no
+function takes a size-limit override."""
 
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -18,3 +20,17 @@ def test_all_names_resolve(name):
                if not hasattr(module, export)]
     assert missing == []
 
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_size_limit_overrides(name):
+    # each exact or dense computation has one fixed size limit
+    module = importlib.import_module(name)
+    functions = [f for _, f in inspect.getmembers(module, inspect.isfunction)
+                 if f.__module__ == name]
+    for _, cls in inspect.getmembers(module, inspect.isclass):
+        if cls.__module__ == name:
+            functions += [f for _, f in inspect.getmembers(cls, inspect.isfunction)]
+    overrides = [f"{f.__qualname__}({p})" for f in functions
+                 for p in inspect.signature(f).parameters
+                 if p in ("cap", "jitter", "max_weight")]
+    assert overrides == []

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,39 @@ class TestHarmonic:
         pref = gaussian.harmonic_prefix(50)
         for k in (1, 2, 17, 50):
             assert abs(pref[k - 1] - gaussian.harmonic(k)) < 1e-14
+
+
+class TestIndexLimit:
+    # one path of Z_1..Z_n must fit one Monte Carlo block
+    LIMIT = 4 * 10**6
+
+    def test_limit_is_one_block(self):
+        assert self.LIMIT == gaussian.MC_BLOCK_ELEMENTS
+
+    def test_harmonic_at_limit(self):
+        k = self.LIMIT
+        approx = math.log(k) + 0.5772156649015329 + 1.0 / (2 * k)
+        assert abs(gaussian.harmonic(k) - approx) < 1e-12
+
+    @pytest.mark.parametrize("index, call", [
+        (LIMIT + 1, lambda: gaussian.harmonic(4 * 10**6 + 1)),
+        (10**12, lambda: gaussian.gp_cov(1, 10**12)),
+        (10**12, lambda: gaussian.gp_cov(10**12, 1)),
+        (10**9, lambda: gaussian.persistence_prob(10**9, 0.0, 1, RandomStream(1, 0))),
+        (LIMIT + 1, lambda: gaussian.persistence_prob(
+            4 * 10**6 + 1, 0.0, 1, RandomStream(1, 0))),
+    ])
+    def test_refused_before_any_work(self, index, call):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=(
+                    f"^index {index} above 4000000, the largest Gaussian-process "
+                    r"index \(one path per Monte Carlo block\)$")):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
 
 
 class TestCovariance:
@@ -88,12 +122,9 @@ class TestSamplers:
         assert sps.kstest(z1, "norm").pvalue > 0.001
 
     def test_cholesky_cap(self):
-        with pytest.raises(ValueError, match="cap"):
+        assert gaussian.CHOLESKY_CAP == 2000
+        with pytest.raises(ValueError, match="^n = 2001 above dense factorization cap 2000$"):
             gaussian.sample_gp_cholesky(2001, 1, RandomStream(4, 0))
-
-    def test_jitter_accepted(self):
-        z = gaussian.sample_gp_cholesky(10, 3, RandomStream(5, 0), jitter=1e-12)
-        assert z.shape == (3, 10)
 
     def test_validation(self):
         with pytest.raises(ValueError):

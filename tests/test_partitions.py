@@ -213,8 +213,9 @@ class TestKostka:
         with pytest.raises(ValueError, match="kostka undefined"):
             kostka((2, 1), (1, 1))
 
-    def test_cap_enforced_and_overridable(self):
-        big = tuple([1] * (KOSTKA_WEIGHT_CAP + 1))
-        with pytest.raises(ValueError, match="enumeration cap"):
+    def test_cap_enforced(self):
+        column = tuple([1] * KOSTKA_WEIGHT_CAP)
+        assert kostka(column, column) == 1
+        big = column + (1,)
+        with pytest.raises(ValueError, match="^weight 21 above enumeration cap 20$"):
             kostka(big, big)
-        assert kostka(big, big, max_weight=KOSTKA_WEIGHT_CAP + 1) == 1
