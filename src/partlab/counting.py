@@ -1,9 +1,10 @@
 """Exact counting, enumeration, unranking, and exact probabilities.
 
-The workhorse is a dynamic-programming table of restricted counts
-c(m, k) = number of partitions of m whose largest part is at most k.
-The table powers pi(n) = c(n, n), reverse-lexicographic enumeration,
-and unranking (which in turn powers exact uniform sampling).  An
+The workhorse is a table of restricted counts c(m, k) = number of
+partitions of m whose largest part is at most k, one numpy array built
+a column at a time.  The table powers pi(n) = c(n, n), and ranking and
+unranking in reverse-lexicographic order, a whole batch of indices at
+once (which in turn powers exact uniform sampling).  An
 independently implemented pentagonal-number recurrence cross-checks
 the table.  Graphical partitions are counted without listing them, by
 a dynamic program over the Durfee-square decomposition; dominance-
@@ -30,19 +31,28 @@ __all__ = [
     "graphical_count",
     "pentagonal_counts",
     "rank",
+    "rank_multiplicities",
     "unrank",
+    "unrank_pairs",
 ]
+
+#: Largest max_n whose table fits int64: pi(405) < 2^63 <= pi(406).
+_INT64_MAX_N = 405
+
 
 class PartitionTable:
     """Restricted partition counts c(m, k) for 0 <= m, k <= max_n.
 
-    c(m, k) counts partitions of m with every part at most k and obeys
+    c(m, k) counts partitions of m with every part at most k.  Column k
+    comes from column k-1 by
 
-        c(0, k) = 1,  c(m, 0) = 0 for m >= 1,
-        c(m, k) = c(m, k-1) + c(m-k, k) for 1 <= k <= m,
+        c(m, k) = sum_{t >= 0} c(m - tk, k-1),
 
-    with c(m, k) constant in k beyond k = m.  Entries are Python
-    integers, so nothing overflows.  Instances are immutable once
+    one cumsum down each residue class of m mod k, starting from
+    c(0, 0) = 1 and c(m, 0) = 0 for m >= 1; c(m, k) is constant in k
+    beyond k = m.  ``counts[m, k]`` is one read-only numpy array, int64
+    while pi(max_n) < 2^63 (max_n <= 405) and Python integers (dtype
+    object) above, so nothing overflows.  Instances are immutable once
     built and safe to share.
     """
 
@@ -51,13 +61,18 @@ class PartitionTable:
         if max_n < 0:
             raise ValueError("max_n must be nonnegative")
         self.max_n = max_n
-        table = [[0] * (max_n + 1) for _ in range(max_n + 1)]
-        table[0] = [1] * (max_n + 1)
-        for m in range(1, max_n + 1):
-            row = table[m]
-            for k in range(1, max_n + 1):
-                row[k] = row[k - 1] + (table[m - k][k] if k <= m else 0)
-        self._table = table
+        size = max_n + 1
+        # built as columns[k, m], so each column is contiguous
+        columns = np.zeros((size, size),
+                           dtype=np.int64 if max_n <= _INT64_MAX_N else object)
+        columns[0, 0] = 1
+        for k in range(1, size):
+            q, rem = divmod(size, k)
+            blocks = columns[k, : q * k].reshape(q, k)
+            np.cumsum(columns[k - 1, : q * k].reshape(q, k), axis=0, out=blocks)
+            columns[k, q * k:] = blocks[-1, :rem] + columns[k - 1, q * k:]
+        columns.flags.writeable = False
+        self.counts = columns.T
 
     def count_restricted(self, m, k):
         """c(m, k): partitions of m with largest part at most k."""
@@ -65,13 +80,13 @@ class PartitionTable:
             raise ValueError(
                 f"(m={m}, k={k}) outside table range 0..{self.max_n}"
             )
-        return self._table[m][k]
+        return int(self.counts[m, k])
 
     def count(self, n):
         """pi(n), the number of partitions of n."""
         if not 0 <= n <= self.max_n:
             raise ValueError(f"n={n} outside table range 0..{self.max_n}")
-        return self._table[n][n]
+        return int(self.counts[n, n])
 
 
 def build_table(max_n):
@@ -142,46 +157,90 @@ def enumerate_partitions(n):
         yield Partition(parts)
 
 
-def unrank(table, n, idx):
-    """The idx-th partition of n in enumeration order (0-based).
+def unrank_pairs(table, n, indices):
+    """The partitions of n at enumeration ``indices`` (0-based), as
+    arrays (row, part): one pair per part, row r for ``indices[r]``.
 
-    Walks down the table by first-part blocks: partitions of n whose
-    first part is exactly j occupy a block of size c(n-j, j).
+    Partitions of m with every part at most k are the last c(m, k) in
+    the order, so if s counts the partitions from the sought one to the
+    end, its first part is the least j with c(m, j) >= s, and the rest
+    is the partition of m - j that lies s - c(m, j-1) from the end.
+    Every index steps at once from s = pi(n) - idx and m = n, one part
+    per step, j found by a binary search in row m of the table.  The
+    parts of a row come out in non-increasing order.
     """
+    counts = table.counts
     total = table.count(n)
-    if not 0 <= idx < total:
-        raise ValueError(f"index {idx} out of range for pi({n}) = {total}")
-    parts = []
-    m, bound = n, n
-    while m:
-        for j in range(min(m, bound), 0, -1):
-            block = table.count_restricted(m - j, j)
-            if idx < block:
-                parts.append(j)
-                m -= j
-                bound = j
-                break
-            idx -= block
-    return Partition(parts)
+    idx = np.asarray(indices)
+    out = (idx < 0) | (idx >= total)
+    if out.any():
+        raise ValueError(
+            f"index {idx[out][0]} out of range for pi({n}) = {total}")
+    s = total - idx.astype(counts.dtype)
+    rows = np.arange(len(idx)) if n else np.arange(0)
+    m = np.full(len(rows), n)
+    bound = m.copy()
+    found = [(rows[:0], rows[:0])]
+    while len(rows):
+        # below = j - 1, the largest k with c(m, k) < s; c(m, 0) = 0 < s
+        # and s <= c(m, min(m, bound))
+        top = np.minimum(m, bound) - 1
+        below = np.zeros_like(m)
+        step = 1 << int(top.max()).bit_length()
+        while step > 1:
+            step >>= 1
+            probe = np.minimum(below + step, top)
+            below = np.where(counts[m, probe] < s, probe, below)
+        s -= counts[m, below]
+        part = below + 1
+        m -= part
+        found.append((rows, part))
+        left = m > 0
+        rows, m, bound, s = rows[left], m[left], part[left], s[left]
+    return tuple(np.concatenate(column) for column in zip(*found))
+
+
+def unrank(table, n, idx):
+    """The idx-th partition of n in enumeration order (0-based); the
+    one-index case of :func:`unrank_pairs`."""
+    _, parts = unrank_pairs(table, n, [idx])
+    return Partition.from_sorted(parts.tolist())
+
+
+def rank_multiplicities(table, n, rows, row, part, mult):
+    """Enumeration indices of ``rows`` partitions of n given as
+    triples (row, part, multiplicity), sorted by row and then by
+    increasing part; the inverse of :func:`unrank_pairs`.
+
+    Unranking takes from s the count c(m, j-1) for each part j it
+    chooses at weight m left, and ends at s = 1, so the index is
+    pi(n) - 1 - sum_t c(m_t, j_t - 1).  The copies of part j are chosen
+    at m = W, W - j, ..., W - (mult-1) j, W the weight in parts <= j,
+    and by the column recurrence they take c(W, j) - c(W - mult j, j)
+    in all.
+    """
+    if n > table.max_n:
+        raise ValueError(f"weight {n} outside table range 0..{table.max_n}")
+    weight = part * mult
+    # every row weighs n, so the running sum is n per earlier row plus
+    # the weight in parts <= j of this one
+    upto = np.cumsum(weight) - n * row
+    counts = table.counts
+    taken = np.zeros(rows, dtype=counts.dtype)
+    np.add.at(taken, row, counts[upto, part] - counts[upto - weight, part])
+    return table.count(n) - 1 - taken
 
 
 def rank(table, lam):
     """Position of ``lam`` in the enumeration order of its weight.
 
-    Inverse of :func:`unrank`.
+    Inverse of :func:`unrank`; the one-row case of
+    :func:`rank_multiplicities`.
     """
     parts = _parts_of(lam)
-    n = sum(parts)
-    if n > table.max_n:
-        raise ValueError(f"weight {n} outside table range 0..{table.max_n}")
-    idx = 0
-    m, bound = n, n
-    for p in parts:
-        for j in range(min(m, bound), p, -1):
-            idx += table.count_restricted(m - j, j)
-        m -= p
-        bound = p
-    return idx
+    part, mult = np.unique(np.asarray(parts, dtype=np.int64), return_counts=True)
+    return int(rank_multiplicities(table, sum(parts), 1, np.zeros_like(part), part,
+                                   mult)[0])
 
 
 def _durfee_graphical_count(d, weight):
@@ -287,7 +346,6 @@ def _dominance_pairs(n, table):
         end += sizes[L]
     store = np.zeros(end, dtype=np.int64)
     store[offset[n]] = 1
-    restricted = np.array(table._table, dtype=np.int64)
 
     def gather(L, top, depth):
         # R[L+a2][a2, b2, D+b2-a2] for a2 in 1..top, b2 in 1..n-L and
@@ -312,7 +370,7 @@ def _dominance_pairs(n, table):
         np.cumsum(inner, axis=0, out=inner)
         np.cumsum(inner, axis=1, out=inner)
         level[1:, 1:, :B] = inner
-        level[:, :, B] = restricted[B, : A + 1, None]
+        level[:, :, B] = table.counts[B, : A + 1, None]
     return int(gather(0, n, 1).sum())
 
 

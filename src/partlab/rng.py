@@ -74,22 +74,47 @@ class RandomStream:
         that many unit exponentials."""
         return self._gen.gamma(shape, size=size)
 
-    def integer_below(self, bound):
-        """Uniform integer in [0, bound) for arbitrary-precision bounds.
+    def integers_below(self, bound, size):
+        """``size`` uniform integers in [0, bound), for arbitrary-precision
+        bounds.
 
-        Draws the minimal number of random bytes, masks to the bit
-        width of bound-1, and rejects overshoots, so the result is
-        exactly uniform even when bound exceeds 2**64.
+        Each draw takes the fewest uint32 words that hold the bit width
+        of bound-1, reads them little-endian, masks to that width and
+        rejects overshoots, so every value is exactly uniform even when
+        bound exceeds 2**64.  Rejected draws are redrawn in order, as
+        many as values are still missing, so the words consumed and the
+        values returned are those of ``size`` calls of integer_below.
+        Returns int64 when bound <= 2**63, Python integers (dtype
+        object) above.
         """
         bound = int(bound)
         if bound <= 0:
             raise ValueError("bound must be positive")
+        dtype = np.int64 if bound <= 2**63 else object
         if bound == 1:
-            return 0
+            return np.zeros(size, dtype=dtype)
         bits = (bound - 1).bit_length()
-        nbytes = (bits + 7) // 8
         mask = (1 << bits) - 1
-        while True:
-            r = int.from_bytes(self._gen.bytes(nbytes), "little") & mask
-            if r < bound:
-                return r
+        kept = [np.zeros(0, dtype=np.uint64)]
+        missing = size
+        while missing:
+            words = self._gen.integers(0, 2**32, size=(missing, -(-bits // 32)),
+                                       dtype=np.uint32)
+            if bits <= 64:
+                draws = words[:, 0].astype(np.uint64)
+                if bits > 32:
+                    draws |= words[:, 1].astype(np.uint64) << np.uint64(32)
+                draws &= np.uint64(mask)
+            else:
+                draws = sum(column.astype(object) << 32 * i
+                            for i, column in enumerate(words.T)) & mask
+            if bound <= mask:
+                draws = draws[draws < bound]
+            kept.append(draws)
+            missing -= len(draws)
+        return np.concatenate(kept).astype(dtype)
+
+    def integer_below(self, bound):
+        """Uniform integer in [0, bound); the one-draw case of
+        integers_below."""
+        return int(self.integers_below(bound, 1)[0])

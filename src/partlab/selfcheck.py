@@ -150,11 +150,8 @@ def check_counting_oracle():
     return ok, detail
 
 
-def _rank_counts(table, n, partitions):
-    counts = np.zeros(table.count(n), dtype=np.int64)
-    for lam in partitions:
-        counts[counting.rank(table, lam)] += 1
-    return counts
+def _rank_counts(table, batch):
+    return np.bincount(batch.ranks(table), minlength=table.count(batch.n))
 
 
 @_check("sampler-uniformity", budget=60.0, seeded=True)
@@ -167,18 +164,13 @@ def check_sampler_uniformity(seed):
 
     table = counting.build_table(20)
 
-    rng = RandomStream(seed, 61)
-    draws = 10**5
-    samples = [sampling.sample_exact_uniform(table, 8, rng) for _ in range(draws)]
-    counts = _rank_counts(table, 8, samples)
-    p_one = float(chisquare(counts).pvalue)
+    samples, _ = sampling.sample_uniform_batch(8, 10**5, RandomStream(seed, 61))
+    p_one = float(chisquare(_rank_counts(table, samples)).pvalue)
 
-    rng_f = RandomStream(seed, 62)
-    rng_e = RandomStream(seed, 63)
-    fr, attempts = sampling.sample_fristedt_batch(20, 10**4, rng_f)
-    ex = [sampling.sample_exact_uniform(table, 20, rng_e) for _ in range(10**4)]
-    c1 = _rank_counts(table, 20, fr)
-    c2 = _rank_counts(table, 20, ex)
+    fr, attempts = sampling.sample_fristedt_batch(20, 10**4, RandomStream(seed, 62))
+    ex, _ = sampling.sample_uniform_batch(20, 10**4, RandomStream(seed, 63))
+    c1 = _rank_counts(table, fr)
+    c2 = _rank_counts(table, ex)
     used = (c1 + c2) > 0
     stat = float((((c1 - c2) ** 2)[used] / (c1 + c2)[used]).sum())
     dof = int(used.sum()) - 1

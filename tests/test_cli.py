@@ -232,6 +232,69 @@ class TestEstimators:
         assert 0.0 <= doc["results"][0]["estimate"] <= 1.0
 
 
+class TestPinnedExactOutput:
+    """Seeded exact-method output, pinned byte for byte.  The exact
+    sampler takes one index per partition from the stream, in order, so
+    drawing and unranking them as one batch must not change a byte."""
+
+    def test_estimate_p_json(self, runner):
+        res = runner.invoke(main, ["estimate-p", "--n", "40", "--trials", "2000",
+                                   "--method", "exact", "--seed", "5",
+                                   "--output", "json"])
+        assert res.exit_code == 0, res.output
+        assert res.output == ESTIMATE_P_40_SEED_5
+
+    def test_sample_dump(self, runner):
+        res = runner.invoke(main, ["sample", "--n", "30", "--trials", "5",
+                                   "--method", "exact", "--seed", "9", "--dump"])
+        assert res.exit_code == 0, res.output
+        assert res.output == SAMPLE_30_SEED_9
+
+
+ESTIMATE_P_40_SEED_5 = """\
+{
+  "manifest": {
+    "artifact": "partlab",
+    "parameters": {
+      "max_rejections": 10000000,
+      "method": "exact",
+      "n": 40,
+      "trials": 2000
+    },
+    "provenance": {
+      "ci": "stats.wilson_interval",
+      "estimate": "sampling.estimate_p_mc"
+    },
+    "seed": 5,
+    "subcommand": "estimate-p",
+    "version": "0.1.0"
+  },
+  "results": [
+    {
+      "ci_hi": 0.4040054157716889,
+      "ci_lo": 0.3614450903394054,
+      "delta": null,
+      "estimate": 0.3825,
+      "event": "p-graphical",
+      "gamma": null,
+      "hits": 765,
+      "n": 40,
+      "seed": 5,
+      "trials": 2000
+    }
+  ]
+}
+"""
+
+SAMPLE_30_SEED_9 = """\
+7,6,2,2,2,1,1,1,1,1,1,1,1,1,1,1
+4,2,2,2,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1
+11,4,2,2,1,1,1,1,1,1,1,1,1,1,1
+7,5,5,3,1,1,1,1,1,1,1,1,1,1
+14,4,4,4,4
+"""
+
+
 class TestSurrogate:
     def test_eg_event_row(self, runner):
         res = runner.invoke(main, ["surrogate", "--event", "eg", "--n", "500",

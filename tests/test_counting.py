@@ -46,6 +46,40 @@ class TestTable:
             assert table.count(n) == oracle[n]
 
 
+def _recurrence_table(max_n):
+    """c(m, k) as lists, row by row from c(m, k) = c(m, k-1) + c(m-k, k):
+    the Python-integer table the numpy one replaced, kept as its oracle."""
+    table = [[0] * (max_n + 1) for _ in range(max_n + 1)]
+    table[0] = [1] * (max_n + 1)
+    for m in range(1, max_n + 1):
+        row = table[m]
+        for k in range(1, max_n + 1):
+            row[k] = row[k - 1] + (table[m - k][k] if k <= m else 0)
+    return table
+
+
+class TestTableArray:
+    def test_matches_recurrence_up_to_60(self):
+        for max_n in range(61):
+            table = counting.build_table(max_n)
+            assert table.counts.tolist() == _recurrence_table(max_n)
+
+    @pytest.mark.parametrize("max_n, dtype", [(405, np.int64), (406, object)])
+    def test_matches_recurrence_at_int64_limit(self, max_n, dtype):
+        table = counting.build_table(max_n)
+        assert table.counts.dtype == dtype
+        assert table.counts.tolist() == _recurrence_table(max_n)
+        assert isinstance(table.count(max_n), int)
+
+    def test_int64_limit(self):
+        pi = counting.pentagonal_counts(counting._INT64_MAX_N + 1)
+        assert pi[-2] < 2**63 <= pi[-1]
+
+    def test_read_only(self, table):
+        with pytest.raises(ValueError):
+            table.counts[3, 3] = 0
+
+
 class TestEnumeration:
     def test_order_at_4(self):
         got = [p.parts for p in counting.enumerate_partitions(4)]
@@ -90,6 +124,26 @@ class TestRanking:
 
     def test_rank_accepts_bare_tuple(self, table):
         assert counting.rank(table, (4,)) == 0
+
+    def test_rank_is_enumeration_position(self, table):
+        for n in range(17):
+            for idx, lam in enumerate(counting.enumerate_partitions(n)):
+                assert counting.rank(table, lam) == idx
+
+    def test_rank_range_error(self):
+        with pytest.raises(ValueError, match="outside table range"):
+            counting.rank(counting.build_table(5), (4, 2))
+
+    @pytest.mark.parametrize("n", [0, 1, 12, 20])
+    def test_unrank_pairs_steps_every_index_at_once(self, table, n):
+        # indices in reverse, so row r holds the partition r from the end
+        expected = [lam.parts for lam in counting.enumerate_partitions(n)][::-1]
+        row, part = counting.unrank_pairs(table, n, np.arange(len(expected))[::-1])
+        assert [tuple(part[row == r]) for r in range(len(expected))] == expected
+
+    def test_unrank_pairs_bounds(self, table):
+        with pytest.raises(ValueError, match="index 5 out of range for pi\\(4\\) = 5"):
+            counting.unrank_pairs(table, 4, [0, 5, 1])
 
 
 class TestExactP:

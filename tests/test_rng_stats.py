@@ -95,6 +95,37 @@ class TestRandomStream:
         assert vals == [rerun.integer_below(bound) for _ in range(200)]
 
 
+def _integer_below_by_bytes(stream, bound):
+    # the byte-wise rejection draw integers_below reproduces: the fewest
+    # bytes that hold bound-1, little-endian, masked to its bit width
+    bits = (bound - 1).bit_length()
+    while True:
+        r = int.from_bytes(stream._gen.bytes((bits + 7) // 8), "little")
+        r &= (1 << bits) - 1
+        if r < bound:
+            return r
+
+
+class TestIntegersBelow:
+    @pytest.mark.parametrize("bound", [1, 2, 22, 2**32, 2**32 + 1, 2**63 - 1, 2**64 + 1])
+    @pytest.mark.parametrize("size", [0, 1, 500])
+    def test_same_values_and_words_as_scalar_calls(self, bound, size):
+        batch, scalar, by_bytes = (RandomStream(41, 2) for _ in range(3))
+        got = batch.integers_below(bound, size)
+        assert got.dtype == (np.int64 if bound <= 2**63 else object)
+        want = [scalar.integer_below(bound) for _ in range(size)]
+        if bound > 1:
+            assert want == [_integer_below_by_bytes(by_bytes, bound)
+                            for _ in range(size)]
+        assert got.tolist() == want
+        # the stream is left where the scalar calls leave it
+        assert batch.uniform() == scalar.uniform() == by_bytes.uniform()
+
+    def test_bound_validated(self):
+        with pytest.raises(ValueError, match="bound must be positive"):
+            RandomStream(3, 0).integers_below(0, 5)
+
+
 class TestWilson:
     def test_degenerate_all_hits(self):
         lo, hi = wilson_interval(100, 100)

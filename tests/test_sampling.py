@@ -6,7 +6,7 @@ import pytest
 from scipy import stats as sps
 
 from partlab import counting, sampling
-from partlab.partitions import dominates, is_graphical_eg
+from partlab.partitions import Partition, dominates, is_graphical_eg
 from partlab.rng import RandomStream
 from partlab.stats import C_SCALE, Z95
 
@@ -282,6 +282,51 @@ class TestBatchFrontend:
         assert batch == sampling.PartitionBatch.from_partitions(n, draws)
         assert len(batch.tail_row) > 0
         assert attempts == count
+
+    @pytest.mark.parametrize("n, count", [(0, 5), (1, 5), (405, 30), (406, 30),
+                                          (2000, 8)])
+    def test_exact_batch_equals_scalar_sequence(self, n, count):
+        # 405/406 is where the table turns from int64 to Python integers
+        rng, twin = RandomStream(30, n), RandomStream(30, n)
+        batch, _ = sampling.sample_uniform_batch(n, count, rng)
+        table = counting.build_table(n)
+        assert list(batch) == [sampling.sample_exact_uniform(table, n, twin)
+                               for _ in range(count)]
+        assert rng.uniform() == twin.uniform()
+
+    def test_exact_method_builds_no_partition(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("Partition built")
+
+        monkeypatch.setattr(Partition, "__init__", refuse)
+        monkeypatch.setattr(Partition, "from_sorted", classmethod(refuse))
+        batch, _ = sampling.sample_uniform_batch(30, 50, RandomStream(32, 0))
+        sampling.estimate_p_mc(40, 200, RandomStream(32, 1))
+        sampling.estimate_r_mc(24, 200, RandomStream(32, 2))
+        with pytest.raises(AssertionError, match="Partition built"):
+            batch[0]
+
+
+class TestBatchRanks:
+    @pytest.mark.parametrize("n", [1, 8, 30, 406])
+    def test_exact_draws_rank_to_their_indices(self, n):
+        batch, _ = sampling.sample_uniform_batch(n, 300, RandomStream(33, n))
+        table = counting.build_table(n)
+        want = RandomStream(33, n).integers_below(table.count(n), 300)
+        assert batch.ranks(table).tolist() == want.tolist()
+
+    @pytest.mark.parametrize("method", ["fristedt", "fristedt-pdc"])
+    def test_agrees_with_scalar_rank(self, method):
+        # K = 13 < 30, so the rows have tail parts too
+        batch, _ = sampling.sample_uniform_batch(30, 200, RandomStream(34, 0),
+                                                 method=method)
+        table = counting.build_table(40)
+        want = [counting.rank(table, lam) for lam in batch]
+        assert batch.ranks(table).tolist() == want
+
+    def test_empty_partition(self, table):
+        batch, _ = sampling.sample_uniform_batch(0, 3, RandomStream(35, 0))
+        assert batch.ranks(table).tolist() == [0, 0, 0]
 
 
 class TestEstimators:
