@@ -14,14 +14,19 @@ burn-in log-sum bound, the drift gap beyond the burn-in and the early
 minimum drop on single gen_walk paths.
 
 Every estimator here (estimate_event, check_containment,
-ratio_tail_diagnostic) draws its paths path-major: each path takes 2m
-consecutive exponentials from the stream, X_1..X_m and then
-X'_1..X'_m, the order gen_walk uses.  Memory is bounded by drawing a
-block of such rows at a time, and a block of rows is the same variates
-in the same order as its paths drawn one by one, so these estimates
-depend on the seed and stream only, not on the block size.
-(RandomStream.uniform_open redraws an exact 0.0 after the whole block;
-that has probability 2^-53 per variate.)
+ratio_tail_diagnostic) draws its paths path-major and evaluates them
+step-major.  Each path takes 2m consecutive exponentials from the
+stream, X_1..X_m and then X'_1..X'_m, the order gen_walk uses.  Memory
+is bounded by drawing a block of paths at a time, and a block is the
+same variates in the same order as its paths drawn one by one, so these
+estimates depend on the seed and stream only, not on the block size.
+A block is evaluated as (steps, paths) arrays whose column p is path p:
+each step is one vector operation across the block's paths, and each
+per-path reduction is an elementwise minimum or sum across steps, with
+the additions of the per-path functions in their order.
+(RandomStream.uniform_open redraws an exact 0.0 at the end of each
+rng.exponential call, a sub-draw of at most _SUBDRAW_ELEMENTS variates
+within a block; that has probability 2^-53 per variate.)
 """
 
 from __future__ import annotations
@@ -71,6 +76,11 @@ __all__ = [
 
 #: Most paths drawn in one block by the estimators.
 _CHUNK = 4096
+#: Most variates in one rng.exponential call filling a step-major block:
+#: 1 MB, which a 2 MB L2 cache holds while the call is transposed into
+#: the block; at 758 steps that is 86 paths, whose 86-long contiguous
+#: runs the transpose writes.
+_SUBDRAW_ELEMENTS = 2**17
 #: Most indices j <= ceil(log^3 n) the ratio-tail functions will hold in
 #: memory: 8 MB per float64 array, against 782 indices at n = 10^4.
 RATIO_TAIL_MAX_INDICES = 10**6
@@ -269,34 +279,77 @@ def _walk_length(n, gamma):
 
 
 def _walk_blocks(length, trials, rng):
-    """Prefix sums S, S' of ``trials`` paths, one block of rows at a time.
+    """Prefix sums S, S' of ``trials`` paths, one block of paths at a time.
 
-    Each path takes 2*length consecutive exponentials, X then X' (the
-    order of gen_walk), and a block holds at most MC_BLOCK_ELEMENTS of
-    them, so the paths do not depend on the block size.  Yields (s, sp),
-    two (rows, length) views of one block.
+    Variates are drawn path-major: each path takes 2*length consecutive
+    exponentials, X then X' (the order of gen_walk), and a block holds
+    at most MC_BLOCK_ELEMENTS of them, so the paths do not depend on the
+    block size.  They are evaluated step-major: yields (s, sp), two
+    (length, paths) views of one block whose column p is path p.
+
+    A block with at least as many paths as steps is drawn in path-major
+    sub-draws of at most _SUBDRAW_ELEMENTS variates, each transposed into
+    a (length, 2, paths) buffer, so that every step is one contiguous row
+    across the paths.  A block with fewer paths than steps (long paths)
+    keeps the path-major memory of one draw and is only viewed step-major.
+    Either way the prefix sums add the same terms in the same order.
     """
     cap = max(1, min(_CHUNK, MC_BLOCK_ELEMENTS // (2 * length)))
+    per_draw = max(1, _SUBDRAW_ELEMENTS // (2 * length))
     done = 0
     while done < trials:
-        rows = min(cap, trials - done)
-        walk = rng.exponential((rows, 2 * length)).reshape(rows, 2, length)
-        np.cumsum(walk, axis=2, out=walk)
+        paths = min(cap, trials - done)
+        if paths < length:
+            walk = rng.exponential((paths, 2 * length)).reshape(paths, 2, length).T
+        else:
+            walk = np.empty((length, 2, paths))
+            for p in range(0, paths, per_draw):
+                k = min(per_draw, paths - p)
+                sub = rng.exponential((k, 2 * length)).reshape(k, 2, length)
+                walk[:, :, p:p + k] = sub.T
+        _cumsum_steps(walk)
         yield walk[:, 0], walk[:, 1]
-        done += rows
+        done += paths
+
+
+def _cumsum_steps(a):
+    """Prefix sums along axis 0 (the steps) of a step-major array, in place.
+
+    A wide array (at least as many paths as steps, laid out step-major)
+    takes one contiguous add per step; a narrow one (path-major memory)
+    takes np.cumsum down each path's own contiguous memory.
+    """
+    if a.shape[-1] >= a.shape[0]:
+        for j in range(1, a.shape[0]):
+            np.add(a[j - 1], a[j], out=a[j])
+    else:
+        np.cumsum(a, axis=0, out=a)
+    return a
 
 
 def _eg_rows(n, s, sp):
-    """event_eg_surrogate on every row of a block."""
-    lhs = np.cumsum(_row_values(n, s), axis=1)
-    rhs = np.cumsum(_row_values(n, sp), axis=1) + np.arange(1, s.shape[1] + 1)
-    return np.all(lhs >= rhs, axis=1)
+    """event_eg_surrogate on every path (column) of a step-major block.
+
+    sum_{j<=i} rows_j >= sum_{j<=i} cols_j + i, as the exact integer
+    prefix sums of rows_j - cols_j against i.
+    """
+    gap = _cumsum_steps(_row_values(n, s) - _row_values(n, sp))
+    return np.all(gap >= np.arange(1, s.shape[0] + 1)[:, None], axis=0)
+
+
+def _kahan_prefix_min(terms):
+    """Per path, the least compensated prefix sum of step-major terms.
+
+    terms.T is (paths, steps); on a step-major block it is column
+    contiguous, so kahan_cumsum_rows steps along contiguous columns.
+    """
+    return kahan_cumsum_rows(terms.T).min(axis=1)
 
 
 def _log_ratio_min_rows(s, sp):
-    """Per row, the least prefix sum of log(S'_j) - log(S_j): the path
+    """Per path, the least prefix sum of log(S'_j) - log(S_j): the path
     meets event_log at threshold t iff this is >= t."""
-    return kahan_cumsum_rows(np.log(sp) - np.log(s)).min(axis=1)
+    return _kahan_prefix_min(np.log(sp) - np.log(s))
 
 
 def estimate_event(kind, n, gamma, delta, trials, rng, *,
@@ -307,9 +360,10 @@ def estimate_event(kind, n, gamma, delta, trials, rng, *,
     log-ratio sums staying above ``threshold``; 'headline':
     min_weighted_stat over floor(n**gamma) indices staying at or above
     -multiplier * n^(delta/2) * ceil(log^(3/2) n) (requires delta).
-    Paths are drawn path-major in blocks (see the module docstring), so
-    the result does not depend on the block size; per-row evaluation
-    matches the single-path event functions on gen_walk's paths.
+    Paths are drawn path-major in blocks and evaluated step-major (see
+    the module docstring), so the result does not depend on the block
+    size; per-path evaluation matches the single-path event functions
+    on gen_walk's paths.
     """
     if kind not in ("eg", "log", "headline"):
         raise ValueError(f"unknown event kind {kind!r}")
@@ -324,7 +378,7 @@ def estimate_event(kind, n, gamma, delta, trials, rng, *,
         if delta is None:
             raise ValueError("headline event needs delta > 0")
         cut = headline_threshold(n, delta, multiplier)
-        jj = np.arange(1, length + 1, dtype=np.float64)
+        jj = np.arange(1, length + 1, dtype=np.float64)[:, None]
 
     hits = 0
     for s, sp in _walk_blocks(length, trials, rng):
@@ -333,7 +387,7 @@ def estimate_event(kind, n, gamma, delta, trials, rng, *,
         elif kind == "log":
             ok = _log_ratio_min_rows(s, sp) >= threshold
         else:
-            ok = kahan_cumsum_rows((sp - s) / jj).min(axis=1) >= cut
+            ok = _kahan_prefix_min((sp - s) / jj) >= cut
         hits += int(np.count_nonzero(ok))
     return make_estimate(kind, hits, trials, n=n, gamma=gamma, delta=delta)
 
@@ -483,22 +537,23 @@ def ratio_tail_diagnostic(n, delta, trials, rng):
     """Estimate sum_{j <= ceil(log^3 n)} P(S'_j/S_j >= 1 + n^(delta/2)/sqrt(j)).
 
     One set of paths of length ceil(log^3 n) serves every j; they are
-    drawn path-major in blocks (see the module docstring), so the result
-    does not depend on the block size.  The per-path exceedance count
-    across indices feeds a CLT interval for the total.
+    drawn path-major in blocks and evaluated step-major (see the module
+    docstring), so the result does not depend on the block size.  The
+    per-path exceedance count across indices feeds a CLT interval for
+    the total.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     _, x = _ratio_tail_excess(n, delta)
     count = len(x)
-    cuts = 1.0 + x
+    cuts = (1.0 + x)[:, None]
     hits_per_j = np.zeros(count, dtype=np.int64)
     path_sum = 0.0
     path_sumsq = 0.0
     for s, sp in _walk_blocks(count, trials, rng):
         exceed = sp / s >= cuts
-        hits_per_j += exceed.sum(axis=0)
-        per_path = exceed.sum(axis=1).astype(np.float64)
+        hits_per_j += exceed.sum(axis=1)
+        per_path = exceed.sum(axis=0).astype(np.float64)
         path_sum += float(per_path.sum())
         path_sumsq += float((per_path**2).sum())
     per_j = hits_per_j / trials

@@ -295,7 +295,56 @@ SAMPLE_30_SEED_9 = """\
 """
 
 
+SURROGATE_HEADLINE_SEED_11 = """\
+{
+  "manifest": {
+    "artifact": "partlab",
+    "parameters": {
+      "delta": 0.006594420627,
+      "event": "headline",
+      "gamma": 0.24,
+      "multiplier": 0.1,
+      "n": 1000000000000,
+      "threshold": -1.0,
+      "trials": 3000
+    },
+    "provenance": {
+      "ci": "stats.wilson_interval",
+      "estimate": "walks.estimate_event"
+    },
+    "seed": 11,
+    "subcommand": "surrogate",
+    "version": "0.1.0"
+  },
+  "results": [
+    {
+      "ci_hi": 0.5786690933927542,
+      "ci_lo": 0.5431748870627561,
+      "delta": 0.006594420627,
+      "estimate": 0.561,
+      "event": "headline",
+      "gamma": 0.24,
+      "hits": 1683,
+      "n": 1000000000000,
+      "seed": 11,
+      "trials": 3000
+    }
+  ]
+}
+"""
+
+
 class TestSurrogate:
+    def test_json_output_pinned(self, runner):
+        # stdout of the path-major evaluation that preceded step-major
+        # blocks; its 3000 paths of 758 steps fill one block of each layout
+        res = runner.invoke(main, ["surrogate", "--event", "headline",
+                                   "--n", "1000000000000", "--gamma", "0.24",
+                                   "--delta", "0.006594420627", "--multiplier", "0.1",
+                                   "--trials", "3000", "--seed", "11", "--output", "json"])
+        assert res.exit_code == 0, res.output
+        assert res.output == SURROGATE_HEADLINE_SEED_11
+
     def test_eg_event_row(self, runner):
         res = runner.invoke(main, ["surrogate", "--event", "eg", "--n", "500",
                                    "--gamma", "0.2", "--trials", "50", "--seed", "2"])

@@ -216,5 +216,13 @@ class TestCompensatedSums:
         for i in range(a.shape[0]):
             assert np.array_equal(rows[i], kahan_cumsum(a[i]))
 
+    def test_cumsum_rows_same_on_column_major_input(self):
+        # the walk estimators pass the transpose of step-major terms,
+        # an F-ordered array whose columns are contiguous
+        a = RandomStream(23, 0).standard_normal((64, 9)) * 1e8
+        f = np.asfortranarray(a)
+        assert f.flags.f_contiguous and not f.flags.c_contiguous
+        assert np.array_equal(kahan_cumsum_rows(f), kahan_cumsum_rows(a.copy(order="C")))
+
     def test_c_scale_value(self):
         assert abs(C_SCALE - math.pi / math.sqrt(6.0)) < 1e-16

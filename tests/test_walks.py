@@ -1,13 +1,14 @@
 import dataclasses
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 
 from partlab import gaussian, selfcheck, walks
 from partlab.rng import RandomStream
-from partlab.stats import C_SCALE, Z95
+from partlab.stats import C_SCALE, MC_BLOCK_ELEMENTS, Z95
 from partlab.walks import WalkPath
 
 
@@ -196,31 +197,43 @@ class TestEstimateEvent:
             walks.estimate_event("eg", 100, 0.2, None, 0, rng)
 
     def test_matches_per_path_functions(self):
-        n, gamma, trials = 2000, 0.22, 600
-        length = walks.floor_power(n, gamma)
-        for kind, kwargs in (
-            ("eg", {}),
-            ("log", {"threshold": -0.5}),
-            ("headline", {"multiplier": 0.1}),
+        # lengths 5, 1 and 2 fill step-major blocks; 758 steps in 100
+        # paths keep the path-major memory of the draw.  The hits at
+        # lengths 1 and 2 are pinned as well as replayed.
+        for n, gamma, trials, seed, pinned in (
+            (2000, 0.22, 600, (15, 3), None),
+            (2, 0.1, 500, (1, 0), [196, 306, 261]),
+            (20, 0.24, 500, (1, 0), [203, 275, 311]),
+            (10**12, 0.24, 100, (15, 4), None),
         ):
-            delta = 0.01 if kind == "headline" else None
-            est = walks.estimate_event(
-                kind, n, gamma, delta, trials, RandomStream(15, 3), **kwargs
-            )
-            # replay the path-major draw order: each path's X, then its X'
-            rng = RandomStream(15, 3)
-            hits = 0
-            for _ in range(trials):
-                w = walks.gen_walk(length, rng)
-                if kind == "eg":
-                    hits += walks.event_eg_surrogate(n, gamma, w)
-                elif kind == "log":
-                    hits += walks.event_log(n, gamma, w, threshold=-0.5)
-                else:
-                    cut = walks.headline_threshold(n, delta, multiplier=0.1)
-                    hits += walks.min_weighted_stat(w, length) >= cut
-            assert est.hits == hits
-            assert est.trials == trials
+            got = [self._hits_and_replay(n, gamma, trials, seed, kind, kwargs)
+                   for kind, kwargs in (("eg", {}),
+                                        ("log", {"threshold": -0.5}),
+                                        ("headline", {"multiplier": 0.1}))]
+            assert pinned is None or got == pinned
+
+    @staticmethod
+    def _hits_and_replay(n, gamma, trials, seed, kind, kwargs):
+        length = walks.floor_power(n, gamma)
+        delta = 0.01 if kind == "headline" else None
+        est = walks.estimate_event(
+            kind, n, gamma, delta, trials, RandomStream(*seed), **kwargs
+        )
+        # replay the path-major draw order: each path's X, then its X'
+        rng = RandomStream(*seed)
+        hits = 0
+        for _ in range(trials):
+            w = walks.gen_walk(length, rng)
+            if kind == "eg":
+                hits += walks.event_eg_surrogate(n, gamma, w)
+            elif kind == "log":
+                hits += walks.event_log(n, gamma, w, threshold=-0.5)
+            else:
+                cut = walks.headline_threshold(n, delta, multiplier=0.1)
+                hits += walks.min_weighted_stat(w, length) >= cut
+        assert est.hits == hits
+        assert est.trials == trials
+        return est.hits
 
     def test_deterministic(self):
         a = walks.estimate_event("eg", 500, 0.2, None, 300, RandomStream(16, 0))
@@ -228,18 +241,28 @@ class TestEstimateEvent:
         assert a == b
 
     def test_long_paths_stay_within_the_block_budget(self):
-        # 10^5 steps per path: 100 paths drawn at once would take 160 MB
-        # per array; blocks of 20 paths keep each array at 32 MB
         n, gamma = 10**25, 0.2
         assert walks.floor_power(n, gamma) == walks.WALK_MAX_LENGTH
+        runs = [
+            # 10^5 steps per path: 100 paths drawn at once would take
+            # 160 MB per array; blocks of 20 paths keep each at 32 MB
+            partial(walks.estimate_event, "eg", n, gamma, None, 100, RandomStream(16, 1)),
+            # many short paths fill step-major buffers; the ratio tail's
+            # 782 steps make its blocks the largest, 2557 paths in 32 MB
+            *(partial(walks.estimate_event, kind, 10**4, 0.24, 0.0066, 2 * 10**5,
+                      RandomStream(16, 2)) for kind in ("eg", "log", "headline")),
+            partial(walks.ratio_tail_diagnostic, 10**4, 0.0066, 3000, RandomStream(16, 3)),
+        ]
+        peaks = []
         tracemalloc.start()
         try:
-            est = walks.estimate_event("eg", n, gamma, None, 100, RandomStream(16, 1))
-            peak = tracemalloc.get_traced_memory()[1]
+            for run in runs:
+                tracemalloc.reset_peak()
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert est.trials == 100
-        assert peak < 4 * 8 * walks.MC_BLOCK_ELEMENTS
+        assert max(peaks) < 4 * 8 * walks.MC_BLOCK_ELEMENTS
 
 
 def _containment_replay(n, gamma, trials, rng):
@@ -278,6 +301,9 @@ class TestContainment:
         (1000, 0.2, 1000, 32),
         (10**12, 0.24, 150, 33),
         (50, 0.1, 400, 34),
+        (2, 0.1, 500, 37),
+        (20, 0.24, 500, 38),
+        (10**12, 0.24, 760, 39),
     ])
     def test_matches_per_path_replay(self, n, gamma, trials, seed):
         got = walks.check_containment(n, gamma, trials, RandomStream(seed, 10))
@@ -294,6 +320,46 @@ class TestContainment:
         assert [rep.eg_hits, rep.log0_hits, rep.logneg1_hits] == hits
 
 
+class TestPinnedOutputs:
+    """Seeded estimator outputs, pinned at the values of the path-major
+    evaluation that preceded step-major blocks.  The replay tests share
+    the estimators' draws; these show that no output shifted.  At
+    n = 10^12 the 3000 paths fall into one step-major block of 2638 and
+    one path-major block of 362."""
+
+    DELTA = 0.006594420627
+
+    @pytest.mark.parametrize("n, trials, seed, hits", [
+        (10**4, 10000, 41, [3603, 3649, 4917, 7061]),
+        (10**12, 3000, 42, [549, 549, 719, 1621]),
+    ])
+    def test_estimate_event_hits(self, n, trials, seed, hits):
+        got = [
+            walks.estimate_event(kind, n, 0.24, self.DELTA, trials, RandomStream(seed, 5),
+                                 threshold=threshold, multiplier=0.1).hits
+            for kind, threshold in (("eg", -1.0), ("log", 0.0), ("log", -1.0),
+                                    ("headline", -1.0))
+        ]
+        assert got == hits
+
+    @pytest.mark.parametrize("n, trials, seed, tallies", [
+        (10**4, 10000, 41, (3608, 3650, 4911)),
+        (10**12, 3000, 42, (576, 576, 753)),
+    ])
+    def test_check_containment(self, n, trials, seed, tallies):
+        got = walks.check_containment(n, 0.24, trials, RandomStream(seed, 6))
+        assert got == walks.ContainmentReport(trials, *tallies, 0)
+
+    def test_ratio_tail_diagnostic(self):
+        # 3000 paths of 782 steps: blocks of 2557 and 443 paths
+        diag = walks.ratio_tail_diagnostic(10**4, self.DELTA, 3000, RandomStream(43, 0))
+        assert diag.total == 185.153
+        assert diag.ci_halfwidth == 8.198516742499187
+        assert np.rint(diag.per_j[:12] * 3000).tolist() == [
+            956, 918, 913, 872, 842, 818, 849, 830, 806, 811, 804, 790]
+        assert np.count_nonzero(diag.per_j) == 782
+
+
 def _walk_results(n, gamma, trials):
     report = walks.check_containment(n, gamma, trials, RandomStream(20260816, 0))
     hits = [
@@ -305,13 +371,32 @@ def _walk_results(n, gamma, trials):
     return report, hits
 
 
-@pytest.mark.parametrize("n, gamma, trials", [(1000, 0.2, 5000), (10**12, 0.24, 60)])
+#: (paths per block, variates per block, variates per sub-draw): blocks
+#: of 7 paths hold fewer paths than the 9 or 758 steps and keep the
+#: path-major layout; sub-draws of 50 variates take one or two paths.
+_BLOCK_SIZES = [
+    (4096, MC_BLOCK_ELEMENTS, walks._SUBDRAW_ELEMENTS),
+    (1000, MC_BLOCK_ELEMENTS, 50),
+    (7, MC_BLOCK_ELEMENTS, walks._SUBDRAW_ELEMENTS),
+    (4096, 10**4, walks._SUBDRAW_ELEMENTS),
+]
+
+
+def _set_block_size(monkeypatch, chunk, budget, subdraw):
+    monkeypatch.setattr(walks, "_CHUNK", chunk)
+    monkeypatch.setattr(walks, "MC_BLOCK_ELEMENTS", budget)
+    monkeypatch.setattr(walks, "_SUBDRAW_ELEMENTS", subdraw)
+    monkeypatch.setattr(gaussian, "MC_BLOCK_ELEMENTS", budget)
+
+
+@pytest.mark.parametrize("n, gamma, trials", [
+    (1000, 0.2, 5000), (10**12, 0.24, 60),
+    (2, 0.1, 3000), (20, 0.24, 3000), (10**4, 0.24, 3000),
+])
 def test_walk_estimators_do_not_depend_on_block_size(monkeypatch, n, gamma, trials):
     results = []
-    full = walks.MC_BLOCK_ELEMENTS
-    for chunk, budget in ((4096, full), (1000, full), (7, full), (4096, 10**4)):
-        monkeypatch.setattr(walks, "_CHUNK", chunk)
-        monkeypatch.setattr(walks, "MC_BLOCK_ELEMENTS", budget)
+    for sizes in _BLOCK_SIZES:
+        _set_block_size(monkeypatch, *sizes)
         results.append(_walk_results(n, gamma, trials))
     assert all(r == results[0] for r in results[1:])
 
@@ -328,11 +413,8 @@ def _persistence_result():
 @pytest.mark.parametrize("run", [_ratio_tail_result, _persistence_result])
 def test_path_estimators_do_not_depend_on_block_size(monkeypatch, run):
     results = []
-    full = walks.MC_BLOCK_ELEMENTS
-    for chunk, budget in ((4096, full), (1000, full), (7, full), (4096, 10**4)):
-        monkeypatch.setattr(walks, "_CHUNK", chunk)
-        monkeypatch.setattr(walks, "MC_BLOCK_ELEMENTS", budget)
-        monkeypatch.setattr(gaussian, "MC_BLOCK_ELEMENTS", budget)
+    for sizes in _BLOCK_SIZES:
+        _set_block_size(monkeypatch, *sizes)
         results.append(run())
     assert all(r == results[0] for r in results[1:])
 
