@@ -1,10 +1,10 @@
 """partlab: exact and Monte Carlo tools for integer partitions.
 
-Exact predicates (graphicality, dominance, Kostka numbers), exact
-counting and unranking, seedable uniform and Boltzmann samplers, an
-exponential surrogate walk with event estimators, a harmonic-weighted
-Gaussian process lab, and the decay-exponent solver, all behind one
-CLI (``partlab``).
+Exact predicates (graphicality, dominance), exact counting and
+unranking, seedable uniform and Boltzmann samplers, an exponential
+surrogate walk with event estimators, a harmonic-weighted Gaussian
+process lab, and the decay-exponent solver, all behind one CLI
+(``partlab``).
 """
 
 __version__ = "0.1.0"

@@ -74,12 +74,12 @@ class OneLineErrors(click.Group):
 
 
 def _leaves(group, prefix=()):
-    """Name paths of every subcommand under a click group."""
+    """Name path and command of every subcommand under a click group."""
     for name, command in group.commands.items():
         if isinstance(command, click.Group):
             yield from _leaves(command, prefix + (name,))
         else:
-            yield prefix + (name,)
+            yield prefix + (name,), command
 
 
 def _load_config(path, group):
@@ -87,8 +87,10 @@ def _load_config(path, group):
 
     Plain keys apply to every subcommand; dotted keys (``surrogate.trials``,
     ``gp.persist.alpha``) target one subcommand.  Flags always override.
+    A key that names no subcommand or no parameter of one is a UsageError.
     """
-    leaves = list(_leaves(group))
+    params = {leaf: {p.name for p in command.params}
+              for leaf, command in _leaves(group)}
     root: dict = {}
 
     def node_at(parts):
@@ -104,12 +106,21 @@ def _load_config(path, group):
         if "=" not in line:
             raise click.UsageError(f"bad config line (want key=value): {raw.strip()!r}")
         key, value = (s.strip() for s in line.split("=", 1))
-        parts = key.split(".")
-        if len(parts) == 1:
-            for leaf in leaves:
-                node_at(leaf).setdefault(key, value)
+        *prefix, name = key.split(".")
+        leaf = tuple(prefix)
+        if leaf and leaf not in params:
+            names = ", ".join(".".join(p) for p in params)
+            raise click.UsageError(f"config key {key!r}: no subcommand "
+                                   f"{'.'.join(leaf)!r}; subcommands: {names}")
+        accepted = params[leaf] if leaf else set().union(*params.values())
+        if name not in accepted:
+            raise click.UsageError(f"config key {key!r} matches no parameter; "
+                                   f"accepted: {', '.join(sorted(accepted))}")
+        if leaf:
+            node_at(leaf)[name] = value
         else:
-            node_at(tuple(parts[:-1]))[parts[-1]] = value
+            for target in params:
+                node_at(target).setdefault(key, value)
     return root
 
 

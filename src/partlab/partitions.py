@@ -3,9 +3,10 @@
 A partition is a weakly decreasing sequence of positive integers; its
 weight is the sum of its parts.  This module holds the structural
 machinery the rest of the package leans on: conjugation, Durfee square
-size, the dominance partial order, two independent graphicality tests
-(Erdos-Gallai and Havel-Hakimi), the Gale-Ryser bipartite criterion,
-and Kostka numbers by direct tableau enumeration.
+size, the dominance partial order and two independent graphicality
+tests (Erdos-Gallai and Havel-Hakimi).  The Gale-Ryser criterion and
+Kostka numbers, which the tests use as oracles for dominance, live in
+tests/oracles.py.
 
 Every public function accepts either a :class:`Partition` or a bare
 sequence of parts already sorted in non-increasing order.  All results
@@ -15,19 +16,13 @@ are exact; nothing here uses floating point.
 from __future__ import annotations
 
 __all__ = [
-    "KOSTKA_WEIGHT_CAP",
     "Partition",
     "conjugate",
     "dominates",
     "durfee",
-    "gale_ryser",
     "is_graphical_eg",
     "is_graphical_hh",
-    "kostka",
 ]
-
-#: Weight cap for `kostka`; tableau enumeration is exponential.
-KOSTKA_WEIGHT_CAP = 20
 
 
 class Partition:
@@ -218,67 +213,3 @@ def is_graphical_hh(lam):
                 return False
         degs.sort(reverse=True)
     return True
-
-
-def gale_ryser(alpha, beta):
-    """Bipartite realizability of the degree-sequence pair (alpha, beta).
-
-    A bipartite simple graph with these side degree sequences exists
-    iff alpha <= conjugate(beta) in dominance; weights must agree.
-    """
-    a = _parts_of(alpha)
-    b = _parts_of(beta)
-    if sum(a) != sum(b):
-        raise ValueError(
-            f"bipartite degree sums must agree, got {sum(a)} and {sum(b)}"
-        )
-    return dominates(a, _conjugate_parts(b))
-
-
-def kostka(lam, mu):
-    """Number of semistandard Young tableaux of shape lam and content mu.
-
-    Counts fillings of the diagram of ``lam`` that use mu_i copies of
-    the letter i+1, weakly increasing along rows and strictly
-    increasing down columns.  Exhaustive depth-first enumeration with
-    column pruning, so the weight is capped at KOSTKA_WEIGHT_CAP (20).
-
-    Returns an exact (arbitrary precision) count.
-    """
-    shape = _parts_of(lam)
-    content = _parts_of(mu)
-    w = sum(shape)
-    if w != sum(content):
-        raise ValueError(
-            f"kostka undefined: shape weight {w} != content weight {sum(content)}"
-        )
-    if w > KOSTKA_WEIGHT_CAP:
-        raise ValueError(f"weight {w} above enumeration cap {KOSTKA_WEIGHT_CAP}")
-    if not shape:
-        return 1
-
-    ncolors = len(content)
-    colheight = _conjugate_parts(shape)
-    remaining = list(content)
-    grid = [[0] * r for r in shape]
-    cells = [(r, c) for r in range(len(shape)) for c in range(shape[r])]
-
-    def fill(idx):
-        if idx == len(cells):
-            return 1
-        r, c = cells[idx]
-        lo = grid[r][c - 1] if c else 1
-        if r and grid[r - 1][c] + 1 > lo:
-            lo = grid[r - 1][c] + 1
-        # cells below (r,c) in its column need strictly larger letters
-        hi = ncolors - (colheight[c] - r - 1)
-        found = 0
-        for v in range(lo, hi + 1):
-            if remaining[v - 1]:
-                remaining[v - 1] -= 1
-                grid[r][c] = v
-                found += fill(idx + 1)
-                remaining[v - 1] += 1
-        return found
-
-    return fill(0)

@@ -69,6 +69,7 @@ class RandomStream:
     def standard_normal(self, size=None):
         return self._gen.standard_normal(size)
 
+    # Stays only because perfbench/layers.py wraps it; ROADMAP item 1 step 2 deletes it.
     def gamma(self, shape, size=None):
         """Gamma(shape, scale=1); for integer shape, the law of a sum of
         that many unit exponentials."""

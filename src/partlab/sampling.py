@@ -50,7 +50,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .counting import build_table, rank_multiplicities, unrank, unrank_pairs
+from .counting import build_table, rank_multiplicities, unrank_pairs
 from .partitions import Partition
 from .stats import C_SCALE, MC_BLOCK_ELEMENTS, make_estimate
 
@@ -62,7 +62,6 @@ __all__ = [
     "estimate_p_mc",
     "estimate_r_mc",
     "fristedt_q",
-    "sample_exact_uniform",
     "sample_fristedt_batch",
     "sample_uniform_batch",
 ]
@@ -94,12 +93,6 @@ def fristedt_q(n):
     if n < 1:
         raise ValueError("n must be >= 1")
     return math.exp(-C_SCALE / math.sqrt(n))
-
-
-def sample_exact_uniform(table, n, rng):
-    """Exactly uniform partition of n, by unranking a uniform index; the
-    one-draw case of method 'exact' in ``sample_uniform_batch``."""
-    return unrank(table, n, rng.integer_below(table.count(n)))
 
 
 def _head_size(n):

@@ -100,6 +100,7 @@ def make_estimate(event, hits, trials, n=None, gamma=None, delta=None):
     )
 
 
+# Stays only because perfbench/layers.py wraps it; ROADMAP item 1 step 2 deletes it.
 def kahan_sum(values):
     """Kahan compensated sum of a 1-D sequence: the last prefix of
     kahan_cumsum, 0.0 when empty."""

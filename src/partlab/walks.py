@@ -9,9 +9,9 @@ turns prefix sums into surrogate row (from S) and column (from S')
 lengths of a size-n random partition's diagram.  The estimators here
 measure the probability of the inequality events tying the surrogate
 to graphicality and the exceedance frequencies of the ratios
-S'_j/S_j over the burn-in range.  Per-path diagnostics check the
-burn-in log-sum bound, the drift gap beyond the burn-in and the early
-minimum drop on single gen_walk paths.
+S'_j/S_j over the burn-in range.  Each event has one implementation
+here, the block kernel below; the per-path references the tests replay
+it against live in tests/oracles.py.
 
 Every estimator here (estimate_event, check_containment,
 ratio_tail_diagnostic) draws its paths path-major and evaluates them
@@ -23,7 +23,7 @@ estimates depend on the seed and stream only, not on the block size.
 A block is evaluated as (steps, paths) arrays whose column p is path p:
 each step is one vector operation across the block's paths, and each
 per-path reduction is an elementwise minimum or sum across steps, with
-the additions of the per-path functions in their order.
+the additions of a path evaluated on its own, in their order.
 (RandomStream.uniform_open redraws an exact 0.0 at the end of each
 rng.exponential call, a sub-draw of at most _SUBDRAW_ELEMENTS variates
 within a block; that has probability 2^-53 per variate.)
@@ -41,7 +41,6 @@ from .stats import (
     C_SCALE,
     MC_BLOCK_ELEMENTS,
     Z95,
-    kahan_cumsum,
     kahan_cumsum_rows,
     make_estimate,
 )
@@ -50,28 +49,19 @@ __all__ = [
     "ContainmentReport",
     "RATIO_TAIL_MAX_INDICES",
     "RatioTailDiagnostic",
-    "SurrogateRowsCols",
     "WALK_MAX_LENGTH",
     "WalkPath",
     "check_containment",
     "estimate_event",
-    "event_early_min_drop",
-    "event_eg_surrogate",
-    "event_log",
-    "event_log_drift_gap",
     "floor_power",
     "gen_walk",
     "headline_threshold",
     "log_cube",
-    "log_drift_gap_bound",
-    "log_prefix_bound_check",
-    "min_weighted_stat",
     "ratio_tail_bound",
     "ratio_tail_bound_terms",
     "ratio_tail_diagnostic",
     "ratio_tail_exact",
     "ratio_tail_exact_terms",
-    "surrogate_rows_cols",
 ]
 
 #: Most paths drawn in one block by the estimators.
@@ -113,6 +103,7 @@ class WalkPath:
         return len(self.x)
 
 
+# Stays only because perfbench/layers.py wraps it; ROADMAP item 1 step 2 deletes it.
 def gen_walk(m, rng):
     """Paired exponential walk of length m; draws X then X'."""
     if m < 1:
@@ -154,83 +145,11 @@ def floor_power(n, gamma):
     return out
 
 
-@dataclass(frozen=True)
-class SurrogateRowsCols:
-    """Surrogate row/column lengths for the first floor(n**gamma) indices."""
-
-    n: int
-    gamma: float
-    rows: np.ndarray
-    cols: np.ndarray
-
-
 def _row_values(n, prefix_sums):
     # unclamped: values can go <= 0 on atypical paths and are kept as is
     scale = math.sqrt(n) / C_SCALE
     vals = np.ceil(scale * (math.log(scale) - np.log(prefix_sums)))
     return vals.astype(np.int64)
-
-
-def _require_length(n, gamma, walk):
-    if not 0.0 < gamma < 0.25:
-        raise ValueError("gamma must lie in (0, 1/4)")
-    length = floor_power(n, gamma)
-    if walk.length < length:
-        raise ValueError(
-            f"walk length {walk.length} shorter than floor(n**gamma) = {length}"
-        )
-    return length
-
-
-def surrogate_rows_cols(n, gamma, walk):
-    """Row values from S and column values from S', as signed integers.
-
-    rows[i] = ceil((sqrt(n)/c) log((sqrt(n)/c)/S_{i+1})) for the first
-    floor(n**gamma) indices; cols likewise from S'.  Values are not
-    clamped at zero.
-    """
-    length = _require_length(n, gamma, walk)
-    return SurrogateRowsCols(
-        n=n,
-        gamma=gamma,
-        rows=_row_values(n, walk.s[:length]),
-        cols=_row_values(n, walk.s_prime[:length]),
-    )
-
-
-def event_eg_surrogate(n, gamma, walk):
-    """Ceiled-sum graphicality inequality on the surrogate diagram.
-
-    True iff for every i <= floor(n**gamma),
-    sum_{j<=i} rows_j >= sum_{j<=i} cols_j + i, in exact integer
-    arithmetic.
-    """
-    rc = surrogate_rows_cols(n, gamma, walk)
-    lhs = np.cumsum(rc.rows)
-    rhs = np.cumsum(rc.cols) + np.arange(1, len(rc.cols) + 1)
-    return bool(np.all(lhs >= rhs))
-
-
-def event_log(n, gamma, walk, threshold=-1.0):
-    """Prefix log-ratio sums staying at or above ``threshold``.
-
-    True iff sum_{j<=i} log(S'_j/S_j) >= threshold for every
-    i <= floor(n**gamma).  Each term is computed as
-    log(S'_j) - log(S_j); prefixes accumulate with compensated
-    summation so hundreds of terms cannot drift.
-    """
-    length = _require_length(n, gamma, walk)
-    diffs = np.log(walk.s_prime[:length]) - np.log(walk.s[:length])
-    return bool(np.all(kahan_cumsum(diffs) >= threshold))
-
-
-def min_weighted_stat(walk, length):
-    """min over 1 <= l <= length of sum_{j<=l} (R'_j - R_j)/j."""
-    if not 1 <= length <= walk.length:
-        raise ValueError(f"length must lie in [1, {walk.length}]")
-    j = np.arange(1, length + 1, dtype=np.float64)
-    terms = (walk.r_prime[:length] - walk.r[:length]) / j
-    return float(kahan_cumsum(terms).min())
 
 
 def headline_threshold(n, delta, multiplier=5.0):
@@ -251,15 +170,6 @@ def _require_delta(delta):
     """Raise ValueError unless delta is finite and positive."""
     if not 0 < delta < math.inf:
         raise ValueError("delta must be finite and positive")
-
-
-def _burnin_count(n, delta, walk):
-    """ceil(log^3 n), once delta is checked and ``walk`` is that long."""
-    _require_delta(delta)
-    count = log_cube(n)
-    if walk.length < count:
-        raise ValueError(f"walk length {walk.length} < ceil(log^3 n) = {count}")
-    return count
 
 
 def _walk_length(n, gamma):
@@ -328,7 +238,8 @@ def _cumsum_steps(a):
 
 
 def _eg_rows(n, s, sp):
-    """event_eg_surrogate on every path (column) of a step-major block.
+    """The ceiled-sum graphicality inequality on every path (column) of
+    a step-major block.
 
     sum_{j<=i} rows_j >= sum_{j<=i} cols_j + i, as the exact integer
     prefix sums of rows_j - cols_j against i.
@@ -348,7 +259,7 @@ def _kahan_prefix_min(terms):
 
 def _log_ratio_min_rows(s, sp):
     """Per path, the least prefix sum of log(S'_j) - log(S_j): the path
-    meets event_log at threshold t iff this is >= t."""
+    meets the log event at threshold t iff this is >= t."""
     return _kahan_prefix_min(np.log(sp) - np.log(s))
 
 
@@ -357,13 +268,14 @@ def estimate_event(kind, n, gamma, delta, trials, rng, *,
     """Monte Carlo probability of a named surrogate event.
 
     kind 'eg': the ceiled-sum inequality event; 'log': prefix
-    log-ratio sums staying above ``threshold``; 'headline':
-    min_weighted_stat over floor(n**gamma) indices staying at or above
-    -multiplier * n^(delta/2) * ceil(log^(3/2) n) (requires delta).
+    log-ratio sums staying above ``threshold``; 'headline': the least
+    prefix sum of (R'_j - R_j)/j over floor(n**gamma) indices staying
+    at or above -multiplier * n^(delta/2) * ceil(log^(3/2) n) (requires
+    delta).
     Paths are drawn path-major in blocks and evaluated step-major (see
     the module docstring), so the result does not depend on the block
-    size; per-path evaluation matches the single-path event functions
-    on gen_walk's paths.
+    size; each path's verdict is that of the event evaluated on its
+    own gen_walk path.
     """
     if kind not in ("eg", "log", "headline"):
         raise ValueError(f"unknown event kind {kind!r}")
@@ -446,9 +358,11 @@ def _ratio_tail_excess(n, delta):
     """Indices j = 1..ceil(log^3 n) and the excess x_j = n^(delta/2)/sqrt(j).
 
     Raises ValueError, before allocating, unless delta is finite and
-    positive and there are at most RATIO_TAIL_MAX_INDICES indices.
+    positive and there are 1 to RATIO_TAIL_MAX_INDICES indices (n >= 2).
     """
     _require_delta(delta)
+    if n < 2:
+        raise ValueError(f"n = {n} leaves the burn-in range j <= ceil(log^3 n) empty")
     count = log_cube(n)
     if count > RATIO_TAIL_MAX_INDICES:
         raise ValueError(
@@ -572,67 +486,3 @@ def ratio_tail_diagnostic(n, delta, trials, rng):
         finite_bound=ratio_tail_bound(n, delta),
         exact_mean=ratio_tail_exact(n, delta),
     )
-
-
-def log_prefix_bound_check(n, delta, walk):
-    """Deterministic per-path check of the burn-in log-sum bound.
-
-    On any path where S'_j/S_j < 1 + n^(delta/2)/sqrt(j) for every
-    j <= ceil(log^3 n), the prefix sum of log(S'_j/S_j) over that
-    range must stay at or below 2 n^(delta/2) ceil(log^(3/2) n),
-    because log(1+t) <= t and sum 1/sqrt(j) <= 2 sqrt(count).  Returns
-    (applicable, holds, value, cap); ``holds`` is None when the ratio
-    condition fails, since then the bound promises nothing.
-    """
-    count = _burnin_count(n, delta, walk)
-    jj = np.arange(1, count + 1, dtype=np.float64)
-    ratios = walk.s_prime[:count] / walk.s[:count]
-    applicable = bool(np.all(ratios < 1.0 + n ** (delta / 2.0) / np.sqrt(jj)))
-    value = float(
-        kahan_cumsum(np.log(walk.s_prime[:count]) - np.log(walk.s[:count]))[-1]
-    )
-    cap = -headline_threshold(n, delta, 2.0)
-    holds = (value <= cap) if applicable else None
-    return applicable, holds, value, cap
-
-
-def event_log_drift_gap(n, gamma, walk):
-    """Per-path diagnostic: beyond the burn-in range, do the prefix
-    log-ratio sums ever exceed the centered-drift sums by more than
-    log^3 n?
-
-    The event is a union over l in (ceil(log^3 n), floor(n**gamma)] of
-
-        sum_{j=burnin+1..l} log(S'_j/S_j)
-            > sum_{j=burnin+1..l} (R'_j - R_j)/j + log^3 n.
-
-    When floor(n**gamma) <= ceil(log^3 n) the index range is empty and
-    the event is False by convention; that is the usual situation at
-    desk-scale n, where this stays a large-n diagnostic.
-    """
-    length = _require_length(n, gamma, walk)
-    burnin = log_cube(n)
-    if length <= burnin:
-        return False
-    lo, hi = burnin, length
-    logs = np.log(walk.s_prime[lo:hi]) - np.log(walk.s[lo:hi])
-    jj = np.arange(lo + 1, hi + 1, dtype=np.float64)
-    drift = (walk.r_prime[lo:hi] - walk.r[lo:hi]) / jj
-    gap = kahan_cumsum(logs) - kahan_cumsum(drift)
-    return bool(np.any(gap > math.log(n) ** 3))
-
-
-def log_drift_gap_bound(n):
-    """Asymptotic envelope 4 n^(1/4) exp(-log^2(n)/6) for the drift-gap event."""
-    return 4.0 * n**0.25 * math.exp(-math.log(n) ** 2 / 6.0)
-
-
-def event_early_min_drop(n, delta, walk):
-    """Per-path diagnostic: does the weighted drift min over the burn-in
-    range drop to -n^(delta/2) ceil(log^(3/2) n) or below?
-
-    This event's probability is asymptotically O(n^(-delta/2)); no
-    finite-n target exists, so it is reported as a raw diagnostic.
-    """
-    count = _burnin_count(n, delta, walk)
-    return min_weighted_stat(walk, count) <= headline_threshold(n, delta, 1.0)

@@ -503,6 +503,22 @@ class TestConfigFile:
         assert res.exit_code == 2
         assert res.output.startswith("error:")
 
+    @pytest.mark.parametrize("line, named", [
+        ("trails = 7", "accepted: alpha, beta_override, big_n,"),
+        ("surogate.trials = 5", "subcommands: exact, sample,"),
+        ("gp.trials = 5", "gp.cov, gp.persist,"),
+        ("gp.persist.N = 50", "accepted: alpha, big_n, out, output_format, seed, trials"),
+    ], ids=["plain-typo", "subcommand-typo", "group-not-subcommand", "parameter-typo"])
+    def test_key_matching_nothing_rejected(self, runner, tmp_path, line, named):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(line + "\n")
+        res = runner.invoke(main, ["--config", str(cfg), "gp", "persist",
+                                   "--N", "50", "--seed", "3"])
+        assert res.exit_code == 2
+        assert len(lines(res)) == 1
+        assert res.output.startswith(f"error: config key {line.split(' =')[0]!r}")
+        assert named in res.output
+
 
 class TestOutputFiles:
     def test_out_writes_payload_and_sidecar(self, runner, tmp_path):

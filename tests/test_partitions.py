@@ -1,16 +1,14 @@
 import pytest
 
+from oracles import KOSTKA_WEIGHT_CAP, gale_ryser, kostka
 from partlab.counting import enumerate_partitions
 from partlab.partitions import (
-    KOSTKA_WEIGHT_CAP,
     Partition,
     conjugate,
     dominates,
     durfee,
-    gale_ryser,
     is_graphical_eg,
     is_graphical_hh,
-    kostka,
 )
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import kostka
 from partlab import counting, sampling
 from partlab.partitions import (
     Partition,
@@ -14,7 +15,6 @@ from partlab.partitions import (
     dominates,
     is_graphical_eg,
     is_graphical_hh,
-    kostka,
 )
 from partlab.rng import RandomStream
 

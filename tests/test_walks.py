@@ -6,6 +6,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+import oracles
 from partlab import gaussian, selfcheck, walks
 from partlab.rng import RandomStream
 from partlab.stats import C_SCALE, MC_BLOCK_ELEMENTS, Z95
@@ -79,19 +80,19 @@ class TestSurrogateValues:
     def test_unit_first_sum_at_n_1e4(self):
         # gamma small enough that floor(n**gamma) = 1
         w = _path_from_increments([1.0], [1.0])
-        rc = walks.surrogate_rows_cols(10**4, 0.05, w)
+        rc = oracles.surrogate_rows_cols(10**4, 0.05, w)
         assert rc.rows[0] == 340
         assert rc.cols[0] == 340
 
     def test_zero_at_scale(self):
         scale = math.sqrt(10**4) / C_SCALE
         w = _path_from_increments([scale], [scale])
-        rc = walks.surrogate_rows_cols(10**4, 0.05, w)
+        rc = oracles.surrogate_rows_cols(10**4, 0.05, w)
         assert rc.rows[0] == 0
 
     def test_row_values_non_increasing_in_s(self):
         w = walks.gen_walk(9, RandomStream(4, 0))
-        rc = walks.surrogate_rows_cols(10**4, 0.24, w)
+        rc = oracles.surrogate_rows_cols(10**4, 0.24, w)
         assert len(rc.rows) == 9
         assert all(a >= b for a, b in zip(rc.rows, rc.rows[1:]))
         assert rc.rows.dtype == np.int64
@@ -99,19 +100,19 @@ class TestSurrogateValues:
     def test_values_can_go_nonpositive(self):
         big = math.sqrt(100) / C_SCALE * 100.0
         w = _path_from_increments([big], [big])
-        rc = walks.surrogate_rows_cols(100, 0.05, w)
+        rc = oracles.surrogate_rows_cols(100, 0.05, w)
         assert rc.rows[0] <= 0
 
     def test_gamma_range_enforced(self):
         w = walks.gen_walk(10, RandomStream(5, 0))
         for gamma in (0.0, 0.25, 0.3, -0.1):
             with pytest.raises(ValueError, match="gamma"):
-                walks.surrogate_rows_cols(10**4, gamma, w)
+                oracles.surrogate_rows_cols(10**4, gamma, w)
 
     def test_short_walk_rejected(self):
         w = walks.gen_walk(3, RandomStream(6, 0))
         with pytest.raises(ValueError, match="shorter"):
-            walks.surrogate_rows_cols(10**4, 0.24, w)
+            oracles.surrogate_rows_cols(10**4, 0.24, w)
 
 
 class TestEvents:
@@ -121,7 +122,7 @@ class TestEvents:
         rng = RandomStream(7, 0)
         for _ in range(200):
             w = walks.gen_walk(9, rng)
-            got = walks.event_eg_surrogate(n, gamma, w)
+            got = oracles.event_eg_surrogate(n, gamma, w)
             rows = [math.ceil(scale * (math.log(scale) - math.log(s))) for s in w.s]
             cols = [
                 math.ceil(scale * (math.log(scale) - math.log(s)))
@@ -135,30 +136,30 @@ class TestEvents:
 
     def test_log_event_trivial_thresholds(self):
         w = walks.gen_walk(9, RandomStream(8, 0))
-        assert walks.event_log(10**4, 0.24, w, threshold=-math.inf)
-        assert not walks.event_log(10**4, 0.24, w, threshold=math.inf)
+        assert oracles.event_log(10**4, 0.24, w, threshold=-math.inf)
+        assert not oracles.event_log(10**4, 0.24, w, threshold=math.inf)
 
     def test_log_event_identical_walks(self):
         x = RandomStream(9, 0).exponential(9)
         w = _path_from_increments(x, x)
         # all log ratios are exactly zero
-        assert walks.event_log(10**4, 0.24, w, threshold=0.0)
-        assert walks.event_log(10**4, 0.24, w, threshold=-1.0)
+        assert oracles.event_log(10**4, 0.24, w, threshold=0.0)
+        assert oracles.event_log(10**4, 0.24, w, threshold=-1.0)
 
     def test_min_weighted_stat_identities(self):
         x = RandomStream(10, 0).exponential(12)
         w = _path_from_increments(x, x)
-        assert walks.min_weighted_stat(w, 12) == 0.0
+        assert oracles.min_weighted_stat(w, 12) == 0.0
         w2 = walks.gen_walk(12, RandomStream(11, 0))
-        single = walks.min_weighted_stat(w2, 1)
+        single = oracles.min_weighted_stat(w2, 1)
         assert abs(single - float(w2.x_prime[0] - w2.x[0])) < 1e-12
 
     def test_min_weighted_stat_validation(self):
         w = walks.gen_walk(5, RandomStream(12, 0))
         with pytest.raises(ValueError):
-            walks.min_weighted_stat(w, 6)
+            oracles.min_weighted_stat(w, 6)
         with pytest.raises(ValueError):
-            walks.min_weighted_stat(w, 0)
+            oracles.min_weighted_stat(w, 0)
 
     def test_weighted_increments_centered(self):
         # E sum_{j<=l} (R'_j - R_j)/j = 0 for every l, by symmetry
@@ -225,12 +226,12 @@ class TestEstimateEvent:
         for _ in range(trials):
             w = walks.gen_walk(length, rng)
             if kind == "eg":
-                hits += walks.event_eg_surrogate(n, gamma, w)
+                hits += oracles.event_eg_surrogate(n, gamma, w)
             elif kind == "log":
-                hits += walks.event_log(n, gamma, w, threshold=-0.5)
+                hits += oracles.event_log(n, gamma, w, threshold=-0.5)
             else:
                 cut = walks.headline_threshold(n, delta, multiplier=0.1)
-                hits += walks.min_weighted_stat(w, length) >= cut
+                hits += oracles.min_weighted_stat(w, length) >= cut
         assert est.hits == hits
         assert est.trials == trials
         return est.hits
@@ -265,6 +266,28 @@ class TestEstimateEvent:
         assert max(peaks) < 4 * 8 * walks.MC_BLOCK_ELEMENTS
 
 
+def test_oracles_do_not_use_the_block_kernel(monkeypatch):
+    # the replay tests compare the kernel with these oracles; an oracle
+    # rewritten on the kernel would make them compare it with itself
+    n, gamma = 10**12, 0.24
+    w = walks.gen_walk(walks.floor_power(n, gamma), RandomStream(44, 0))
+
+    def answers():
+        return (oracles.event_eg_surrogate(n, gamma, w),
+                oracles.event_log(n, gamma, w, threshold=-0.5),
+                oracles.min_weighted_stat(w, w.length))
+
+    want = answers()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("oracle called the block kernel")
+
+    for name in ("_walk_blocks", "_cumsum_steps", "_eg_rows", "_kahan_prefix_min",
+                 "_log_ratio_min_rows"):
+        monkeypatch.setattr(walks, name, refuse)
+    assert answers() == want
+
+
 def _containment_replay(n, gamma, trials, rng):
     """check_containment as a loop over single paths and the per-path
     event functions."""
@@ -272,9 +295,9 @@ def _containment_replay(n, gamma, trials, rng):
     eg = log0 = logneg1 = bad01 = 0
     for _ in range(trials):
         path = walks.gen_walk(length, rng)
-        a = walks.event_eg_surrogate(n, gamma, path)
-        b = walks.event_log(n, gamma, path, threshold=0.0)
-        c = walks.event_log(n, gamma, path, threshold=-1.0)
+        a = oracles.event_eg_surrogate(n, gamma, path)
+        b = oracles.event_log(n, gamma, path, threshold=0.0)
+        c = oracles.event_log(n, gamma, path, threshold=-1.0)
         eg, log0, logneg1 = eg + a, log0 + b, logneg1 + c
         bad01 += a and not b
     return walks.ContainmentReport(trials, eg, log0, logneg1, bad01)
@@ -458,6 +481,28 @@ class TestConcentrationChecks:
             tracemalloc.stop()
         assert peak < 10**6
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_ratio_tail_rejects_empty_burnin_range(self, n):
+        # ceil(log^3 1) = 0 indices, and log 0 is undefined
+        rng = RandomStream(23, 4)
+        for fn in (walks.ratio_tail_bound, walks.ratio_tail_bound_terms,
+                   walks.ratio_tail_exact, walks.ratio_tail_exact_terms):
+            with pytest.raises(ValueError, match="burn-in range"):
+                fn(n, 0.1)
+        with pytest.raises(ValueError, match="burn-in range"):
+            walks.ratio_tail_diagnostic(n, 0.1, 10, rng)
+        assert rng.uniform() == RandomStream(23, 4).uniform()
+
+    def test_ratio_tail_one_index_at_n_2(self):
+        assert walks.log_cube(2) == 1
+        assert walks.ratio_tail_bound_terms(2, 0.1).shape == (1,)
+        assert walks.ratio_tail_exact_terms(2, 0.1).shape == (1,)
+        assert walks.ratio_tail_exact(2, 0.1) <= walks.ratio_tail_bound(2, 0.1)
+        diag = walks.ratio_tail_diagnostic(2, 0.1, 1000, RandomStream(23, 5))
+        assert diag.indices == 1 and diag.per_j.shape == (1,)
+        se = diag.ci_halfwidth / Z95
+        assert abs(diag.total - diag.exact_mean) <= 4 * se
+
     @pytest.mark.parametrize("delta", [math.nan, math.inf, 0.0, -0.1])
     def test_ratio_tail_needs_finite_positive_delta(self, delta):
         for fn in (walks.ratio_tail_bound, walks.ratio_tail_exact):
@@ -466,7 +511,7 @@ class TestConcentrationChecks:
         with pytest.raises(ValueError, match="finite and positive"):
             walks.ratio_tail_diagnostic(100, delta, 10, RandomStream(23, 0))
         w = walks.gen_walk(walks.log_cube(100), RandomStream(23, 1))
-        for fn in (walks.log_prefix_bound_check, walks.event_early_min_drop):
+        for fn in (oracles.log_prefix_bound_check, oracles.event_early_min_drop):
             with pytest.raises(ValueError, match="finite and positive"):
                 fn(100, delta, w)
         with pytest.raises(ValueError, match="finite and positive"):
@@ -531,7 +576,7 @@ class TestConcentrationChecks:
         cap_want = 2.0 * n ** (delta / 2.0) * math.ceil(math.log(n) ** 1.5)
         for _ in range(300):
             w = walks.gen_walk(walks.log_cube(n), rng)
-            applicable, holds, value, cap = walks.log_prefix_bound_check(n, delta, w)
+            applicable, holds, value, cap = oracles.log_prefix_bound_check(n, delta, w)
             assert cap == pytest.approx(cap_want)
             if applicable:
                 seen_applicable += 1
@@ -544,14 +589,14 @@ class TestConcentrationChecks:
     def test_log_prefix_bound_short_walk(self):
         w = walks.gen_walk(5, RandomStream(24, 0))
         with pytest.raises(ValueError, match="log"):
-            walks.log_prefix_bound_check(100, 0.1, w)
+            oracles.log_prefix_bound_check(100, 0.1, w)
 
 
 class TestLargeNDiagnostics:
     def test_drift_gap_empty_range_is_false(self):
         # at n=10^4, floor(n^0.24) = 9 < ceil(log^3 n) = 782
         w = walks.gen_walk(9, RandomStream(25, 0))
-        assert walks.event_log_drift_gap(10**4, 0.24, w) is False
+        assert oracles.event_log_drift_gap(10**4, 0.24, w) is False
 
     def test_drift_gap_inner_inequality(self, monkeypatch):
         # the range past the burn-in opens up only around n ~ 1e28 with
@@ -559,7 +604,7 @@ class TestLargeNDiagnostics:
         monkeypatch.setattr(walks, "log_cube", lambda n: 2)
         n, gamma, length = 10**4, 0.24, 9
         w = walks.gen_walk(length, RandomStream(26, 0))
-        got = walks.event_log_drift_gap(n, gamma, w)
+        got = oracles.event_log_drift_gap(n, gamma, w)
         logs = np.log(w.s_prime[2:length]) - np.log(w.s[2:length])
         jj = np.arange(3.0, length + 1.0)
         drift = (w.r_prime[2:length] - w.r[2:length]) / jj
@@ -573,10 +618,10 @@ class TestLargeNDiagnostics:
         x = np.full(9, 1000.0)
         xp = np.full(9, 1e-12)
         w = _path_from_increments(x, xp)
-        assert walks.event_log_drift_gap(10**4, 0.24, w) is True
+        assert oracles.event_log_drift_gap(10**4, 0.24, w) is True
 
     def test_drift_gap_bound_decays(self):
-        assert walks.log_drift_gap_bound(10**8) < walks.log_drift_gap_bound(10**4)
+        assert oracles.log_drift_gap_bound(10**8) < oracles.log_drift_gap_bound(10**4)
 
     def test_early_min_drop_matches_direct(self):
         n, delta = 100, 0.1
@@ -585,9 +630,9 @@ class TestLargeNDiagnostics:
         hits = 0
         for _ in range(200):
             w = walks.gen_walk(count, rng)
-            got = walks.event_early_min_drop(n, delta, w)
+            got = oracles.event_early_min_drop(n, delta, w)
             cut = -(n ** (delta / 2.0)) * math.ceil(math.log(n) ** 1.5)
-            want = walks.min_weighted_stat(w, count) <= cut
+            want = oracles.min_weighted_stat(w, count) <= cut
             assert got == want
             hits += got
         # the drop is a tail event; most paths should not hit it
@@ -596,4 +641,4 @@ class TestLargeNDiagnostics:
     def test_early_min_drop_short_walk(self):
         w = walks.gen_walk(5, RandomStream(28, 0))
         with pytest.raises(ValueError):
-            walks.event_early_min_drop(100, 0.1, w)
+            oracles.event_early_min_drop(100, 0.1, w)
