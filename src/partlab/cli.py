@@ -88,9 +88,16 @@ def _load_config(path, group):
     Plain keys apply to every subcommand; dotted keys (``surrogate.trials``,
     ``gp.persist.alpha``) target one subcommand.  Flags always override.
     A key that names no subcommand or no parameter of one is a UsageError.
+    The value of a repeatable option is split on commas
+    (``exact.weights = 12, 20``).
     """
-    params = {leaf: {p.name for p in command.params}
+    params = {leaf: {p.name: p for p in command.params}
               for leaf, command in _leaves(group)}
+
+    def parsed(param, value):
+        # click takes a repeatable option's default only as a sequence
+        return [v.strip() for v in value.split(",")] if param.multiple else value
+
     root: dict = {}
 
     def node_at(parts):
@@ -117,10 +124,11 @@ def _load_config(path, group):
             raise click.UsageError(f"config key {key!r} matches no parameter; "
                                    f"accepted: {', '.join(sorted(accepted))}")
         if leaf:
-            node_at(leaf)[name] = value
+            node_at(leaf)[name] = parsed(params[leaf][name], value)
         else:
-            for target in params:
-                node_at(target).setdefault(key, value)
+            for target, accepts in params.items():
+                if name in accepts:
+                    node_at(target).setdefault(name, parsed(accepts[name], value))
     return root
 
 

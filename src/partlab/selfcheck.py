@@ -184,11 +184,8 @@ def check_sampler_uniformity(seed):
     return ok, detail
 
 
-@_check("mc-vs-exact", budget=60.0, seeded=True)
-def check_mc_vs_exact(seed):
-    """estimate_p at n=40 vs the exact value, within 4 standard errors."""
-    est = sampling.estimate_p_mc(40, 10**5, RandomStream(seed, 7))
-    exact = float(counting.exact_p(40))
+def _within_4se(est, exact):
+    """Two-sided test of a Monte Carlo estimate against an exact value."""
     se = est.ci_halfwidth / Z95
     gap = abs(est.estimate - exact)
     detail = (
@@ -196,6 +193,26 @@ def check_mc_vs_exact(seed):
         f"|gap|={gap:.5f} vs 4se={4 * se:.5f}"
     )
     return gap <= 4 * se, detail
+
+
+@_check("mc-vs-exact", budget=60.0, seeded=True)
+def check_mc_vs_exact(seed):
+    """estimate_p at n=40 vs the exact value, within 4 standard errors."""
+    est = sampling.estimate_p_mc(40, 10**5, RandomStream(seed, 7))
+    return _within_4se(est, float(counting.exact_p(40)))
+
+
+#: counting.exact_p(100), which takes about 5 s to recompute
+_EXACT_P_100 = Fraction(69065657, 190569292)
+
+
+@_check("pdc-vs-exact", budget=60.0, seeded=True)
+def check_pdc_vs_exact(seed):
+    """fristedt-pdc estimate of p(100) vs the exact value, within 4
+    standard errors."""
+    est = sampling.estimate_p_mc(100, 10**5, RandomStream(seed, 150),
+                                 method="fristedt-pdc")
+    return _within_4se(est, float(_EXACT_P_100))
 
 
 @_check("covariance-law", budget=60.0, seeded=True)

@@ -519,6 +519,25 @@ class TestConfigFile:
         assert res.output.startswith(f"error: config key {line.split(' =')[0]!r}")
         assert named in res.output
 
+    @pytest.mark.parametrize("line, args, flags", [
+        ("exact.weights = 12", ["exact", "--p"], ["--n", "12"]),
+        ("exact.weights = 12, 20", ["exact", "--p"], ["--n", "12", "--n", "20"]),
+        ("selfcheck.only = exact-small-values", ["selfcheck"],
+         ["--only", "exact-small-values"]),
+        ("selfcheck.only = exact-small-values,counting-oracle", ["selfcheck"],
+         ["--only", "exact-small-values", "--only", "counting-oracle"]),
+    ], ids=["weights", "two-weights", "only", "two-only"])
+    def test_repeatable_option_from_config(self, runner, tmp_path, line, args, flags):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(line + "\n")
+        res = runner.invoke(main, ["--config", str(cfg)] + args)
+        want = runner.invoke(main, args + flags)
+        assert res.exit_code == 0, res.output
+        assert len(lines(res)) == len(flags) // 2 + 1
+        # selfcheck lines carry their timings
+        assert [row.split(" (")[0] for row in lines(res)] == [
+            row.split(" (")[0] for row in lines(want)]
+
 
 class TestOutputFiles:
     def test_out_writes_payload_and_sidecar(self, runner, tmp_path):

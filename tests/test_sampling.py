@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -118,6 +119,33 @@ class TestBoltzmannSampler:
         counts = _rank_counts(table, 20, parts)
         assert sps.chisquare(counts).pvalue > 0.001
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_pdc_uniform_exhaustively_small_n(self, table, n):
+        # n = 1 clips the residual block to {1} (K = 1); at n = 2 the
+        # dense head is empty and parts 1 and 2 both come from the residual
+        draws = 2000 * table.count(n)
+        batch, _ = sampling.sample_fristedt_batch(
+            n, draws, RandomStream(37, n), pdc=True)
+        counts = np.bincount(batch.ranks(table), minlength=table.count(n))
+        assert counts.sum() == draws
+        if n > 1:
+            assert sps.chisquare(counts).pvalue > 0.001
+
+    def test_pdc_attempts_match_the_exact_acceptance_rate(self):
+        # P(accept) = P(N = n) / max_r P(W_12 = r), with P(N = n) =
+        # pi(n) q^n prod_{k<=n} (1 - q^k) and P(W_12 = r) =
+        # (1 - q)(1 - q^2)(floor(r/2) + 1) q^r; attempts is a sum of
+        # count geometric variables
+        n, count = 1000, 2000
+        q = sampling.fristedt_q(n)
+        log_peak = max(math.log(r // 2 + 1) + r * math.log(q) for r in range(n + 1))
+        rate = math.exp(math.log(counting.pentagonal_counts(n)[n]) + n * math.log(q)
+                        + sum(math.log1p(-q**k) for k in range(3, n + 1)) - log_peak)
+        _, attempts = sampling.sample_fristedt_batch(
+            n, count, RandomStream(38, 0), pdc=True)
+        se = math.sqrt((1 - rate) / count) / rate
+        assert abs(attempts / count - 1 / rate) <= 4 * se
+
     @pytest.mark.parametrize("pdc", [False, True])
     def test_largest_part_above_head_law(self, pdc):
         n, draws = 200, 4000
@@ -157,11 +185,11 @@ class TestBoltzmannSampler:
         assert peak < 10**6
 
     def test_one_block_of_draws_alive_at_a_time(self):
-        # 13 blocks of _BATCH x (K - 1) doubles; holding the last block
-        # while the next is drawn would peak near twice the block
+        # several blocks of _BATCH x (K - 2) doubles; holding the last
+        # block while the next is drawn would peak near twice the block
         n = 10**5
         sampling._boltzmann_plan(n)
-        block = sampling._BATCH * (sampling._head_size(n) - 1) * 8
+        block = sampling._BATCH * (sampling._head_size(n) - 2) * 8
         tracemalloc.start()
         try:
             _, attempts = sampling.sample_fristedt_batch(
@@ -202,6 +230,22 @@ class TestBoltzmannSampler:
         b, att_b = sampling.sample_fristedt_batch(60, 25, RandomStream(11, 0))
         assert a == b
         assert att_a == att_b
+
+
+class TestPinnedPlainOutput:
+    """Seeded plain-rejection output, pinned from before the PDC block
+    grew to parts {1, 2}: that change touches only ``pdc=True``."""
+
+    def test_plain_fristedt_batch(self):
+        batch, attempts = sampling.sample_fristedt_batch(
+            1000, 50, RandomStream(20261019, 3), pdc=False)
+        assert attempts == 31836
+        assert batch.head.shape == (50, 74) and len(batch.tail_row) == 53
+        digest = hashlib.sha256()
+        for column in (batch.head, batch.tail_row, batch.tail_part, batch.tail_mult):
+            digest.update(column.astype("<i8").tobytes())
+        assert digest.hexdigest() == (
+            "b9ec16b8114985e01ccb50d1769d8b80a43701798f42691f4065b142de1663b3")
 
 
 class TestPartitionBatch:
