@@ -11,6 +11,10 @@ emitted number comes straight from a library call, with one exception:
 rational p(n) or r(n) itself, and its provenance names those counting
 functions.
 
+Each parameter is named by its flag, with ``-`` turned into ``_``
+(``--N`` is ``N``): that one name is the command's keyword, the
+``--config`` key and the manifest key.
+
 Errors are one line on stderr, ``error: <reason>``, with a nonzero
 exit code.
 """
@@ -89,7 +93,7 @@ def _load_config(path, group):
     ``gp.persist.alpha``) target one subcommand.  Flags always override.
     A key that names no subcommand or no parameter of one is a UsageError.
     The value of a repeatable option is split on commas
-    (``exact.weights = 12, 20``).
+    (``exact.n = 12, 20``).
     """
     params = {leaf: {p.name: p for p in command.params}
               for leaf, command in _leaves(group)}
@@ -132,46 +136,49 @@ def _load_config(path, group):
     return root
 
 
-def _emit(*, subcommand, parameters, columns, rows, output_format, out,
-          seed=None, provenance=None, started=None, text_lines=None):
+def _emit(subcommand, columns, rows, provenance, *, seed=None,
+          parameters=None, text_lines=None):
     """Write one run's results as CSV (default), JSON, or raw lines.
 
-    The embedded manifest is fully deterministic; timestamp and duration
-    go to the ``<out>.manifest.json`` sidecar only.
+    Encoding, target and manifest parameters are the running command's
+    options, unless ``parameters`` names the last.  The embedded manifest
+    is fully deterministic; timestamp and duration go to the
+    ``<out>.manifest.json`` sidecar only.
     """
+    ctx = click.get_current_context()
+    options = ctx.params
+    if parameters is None:
+        parameters = {k: v for k, v in options.items()
+                      if k not in ("seed", "out", "output")}
     manifest = {
         "artifact": "partlab",
         "version": __version__,
         "subcommand": subcommand,
         "parameters": {k: _json_value(v) for k, v in sorted(parameters.items())},
         "seed": seed,
-        "provenance": dict(sorted((provenance or {}).items())),
+        "provenance": dict(sorted(provenance.items())),
     }
-    if text_lines is not None and output_format == "csv":
-        payload = "\n".join(text_lines) + "\n" if text_lines else ""
-    elif output_format == "csv":
-        lines = [",".join(columns)]
+    if text_lines is not None:
+        rows = [(line,) for line in text_lines]
+    if options["output"] == "csv":
+        # raw lines go out without a header
+        lines = [",".join(columns)] if text_lines is None else []
         lines += [",".join(_fmt(v) for v in row) for row in rows]
         payload = "\n".join(lines) + "\n"
     else:
-        if text_lines is not None:
-            results = [{"parts": line} for line in text_lines]
-        else:
-            results = [
-                {col: _json_value(v) for col, v in zip(columns, row)}
-                for row in rows
-            ]
+        results = [{col: _json_value(v) for col, v in zip(columns, row)}
+                   for row in rows]
         payload = json.dumps(
             {"manifest": manifest, "results": results},
             indent=2, sort_keys=True,
         ) + "\n"
+    out = options["out"]
     if out:
         target = Path(out)
         target.write_text(payload, encoding="utf-8", newline="\n")
         sidecar = dict(manifest)
         sidecar["created_utc"] = datetime.now(timezone.utc).isoformat()
-        if started is not None:
-            sidecar["duration_s"] = round(time.perf_counter() - started, 6)
+        sidecar["duration_s"] = round(time.perf_counter() - ctx.meta["partlab.started"], 6)
         Path(str(out) + ".manifest.json").write_text(
             json.dumps(sidecar, indent=2, sort_keys=True) + "\n",
             encoding="utf-8", newline="\n",
@@ -187,7 +194,7 @@ def output_options(default_format="csv"):
             help="Write results here (plus a .manifest.json sidecar) instead of stdout.",
         )(fn)
         fn = click.option(
-            "--output", "output_format", type=click.Choice(["csv", "json"]),
+            "--output", type=click.Choice(["csv", "json"]),
             default=default_format, show_default=True, help="Result encoding.",
         )(fn)
         return fn
@@ -197,36 +204,34 @@ def output_options(default_format="csv"):
 @click.group(cls=OneLineErrors)
 @click.version_option(__version__, prog_name="partlab")
 @click.option(
-    "--config", "config_path",
+    "--config",
     type=click.Path(exists=True, dir_okay=False), default=None,
     help="key=value defaults for subcommand flags; flags override.",
 )
 @click.pass_context
-def main(ctx, config_path):
+def main(ctx, config):
     """Exact and Monte Carlo laboratory for partition statistics."""
-    if config_path:
-        ctx.default_map = _load_config(config_path, ctx.command)
+    ctx.meta["partlab.started"] = time.perf_counter()
+    if config:
+        ctx.default_map = _load_config(config, ctx.command)
 
 
 @main.command("exact")
-@click.option("--p", "want_p", is_flag=True, help="Graphical fraction per weight.")
-@click.option("--r", "want_r", is_flag=True, help="Dominance-comparable pair fraction per weight.")
-@click.option("--n", "weights", type=click.IntRange(min=0), multiple=True,
+@click.option("--p", is_flag=True, help="Graphical fraction per weight.")
+@click.option("--r", is_flag=True, help="Dominance-comparable pair fraction per weight.")
+@click.option("--n", type=click.IntRange(min=0), multiple=True,
               required=True, help="Weight(s); repeatable.")
 @click.option("--two-sided", is_flag=True,
               help="With --r: count comparability in either direction.")
 @output_options()
-def exact_cmd(want_p, want_r, weights, two_sided, output_format, out):
+def exact_cmd(p, r, n, two_sided, output, out):
     """Exact probabilities over whole weight classes: p(n) by a
     Durfee-square count, r(n) by a pair DP."""
-    started = time.perf_counter()
-    if want_p == want_r:
+    if p == r:
         raise click.UsageError("exactly one of --p or --r is required")
-    if two_sided and want_p:
+    if two_sided and p:
         raise click.UsageError("--two-sided applies to --r only")
-    params = {"mode": "p" if want_p else "r", "n": list(weights),
-              "two_sided": two_sided}
-    if want_p:
+    if p:
         name, kwargs = "graphical_count", {}
         columns = ("n", "pi_n", "graphical_count", "p_exact")
     else:
@@ -235,16 +240,15 @@ def exact_cmd(want_p, want_r, weights, two_sided, output_format, out):
     count = getattr(counting, name)
     # largest weight first, so one above the library's limit is refused
     # before any other weight is counted
-    counts = {n: count(n, **kwargs) for n in sorted(set(weights), reverse=True)}
+    counts = {w: count(w, **kwargs) for w in sorted(set(n), reverse=True)}
     rows = []
-    for n in weights:
-        hits, total = counts[n]
-        rows.append((n, total, hits, Fraction(hits, total)) if want_p
-                    else (n, hits, Fraction(hits, total * total)))
-    provenance = dict.fromkeys(columns[1:], f"counting.{name}")
-    _emit(subcommand="exact", parameters=params, columns=columns, rows=rows,
-          output_format=output_format, out=out, provenance=provenance,
-          started=started)
+    for w in n:
+        hits, total = counts[w]
+        rows.append((w, total, hits, Fraction(hits, total)) if p
+                    else (w, hits, Fraction(hits, total * total)))
+    _emit("exact", columns, rows, dict.fromkeys(columns[1:], f"counting.{name}"),
+          parameters={"mode": "p" if p else "r", "n": list(n),
+                      "two_sided": two_sided})
 
 
 @main.command("sample")
@@ -258,36 +262,27 @@ def exact_cmd(want_p, want_r, weights, two_sided, output_format, out):
 @click.option("--dump", is_flag=True,
               help="Emit one partition per line instead of the summary row.")
 @output_options()
-def sample_cmd(n, trials, method, seed, max_rejections, dump, output_format, out):
+def sample_cmd(n, trials, method, seed, max_rejections, dump, output, out):
     """Draw uniform random partitions of a given weight."""
-    started = time.perf_counter()
     rng = RandomStream(seed, 0)
     batch, attempts = sampling.sample_uniform_batch(
         n, trials, rng, method=method, max_rejections=max_rejections
     )
-    params = {"n": n, "trials": trials, "method": method,
-              "max_rejections": max_rejections, "dump": dump}
     if dump:
-        _emit(subcommand="sample", parameters=params, columns=("parts",),
-              rows=(), output_format=output_format, out=out, seed=seed,
-              provenance={"parts": "sampling.sample_uniform_batch"},
-              started=started, text_lines=[lam.to_text() for lam in batch])
+        _emit("sample", ("parts",), (),
+              {"parts": "sampling.sample_uniform_batch"}, seed=seed,
+              text_lines=[lam.to_text() for lam in batch])
     else:
-        _emit(subcommand="sample", parameters=params,
-              columns=("n", "method", "trials", "attempts", "seed"),
-              rows=[(n, method, trials, attempts, seed)],
-              output_format=output_format, out=out, seed=seed,
-              provenance={"attempts": "sampling.sample_uniform_batch"},
-              started=started)
+        _emit("sample", ("n", "method", "trials", "attempts", "seed"),
+              [(n, method, trials, attempts, seed)],
+              {"attempts": "sampling.sample_uniform_batch"}, seed=seed)
 
 
-def _emit_estimate(subcommand, est, seed, params, output_format, out,
-                   provenance, started):
+def _emit_estimate(subcommand, est, seed, estimator):
     row = (est.event, est.n, est.gamma, est.delta, est.trials,
            est.hits, est.estimate, est.ci_lo, est.ci_hi, seed)
-    _emit(subcommand=subcommand, parameters=params, columns=EVENT_COLUMNS,
-          rows=[row], output_format=output_format, out=out, seed=seed,
-          provenance=provenance, started=started)
+    _emit(subcommand, EVENT_COLUMNS, [row],
+          {"estimate": estimator, "ci": "stats.wilson_interval"}, seed=seed)
 
 
 def _estimate_command(name, estimator, help_text):
@@ -305,17 +300,12 @@ def _estimate_command(name, estimator, help_text):
     @click.option("--max-rejections", type=click.IntRange(min=0), default=10**7,
                   show_default=True)
     @output_options()
-    def command(n, trials, seed, method, max_rejections, output_format, out):
-        started = time.perf_counter()
+    def command(n, trials, seed, method, max_rejections, output, out):
         est = getattr(sampling, estimator)(
             n, trials, RandomStream(seed, 0), method=method,
             max_rejections=max_rejections,
         )
-        params = {"n": n, "trials": trials, "method": method,
-                  "max_rejections": max_rejections}
-        _emit_estimate(name, est, seed, params, output_format, out,
-                       {"estimate": f"sampling.{estimator}",
-                        "ci": "stats.wilson_interval"}, started)
+        _emit_estimate(name, est, seed, f"sampling.{estimator}")
 
 
 _estimate_command("estimate-p", "estimate_p_mc",
@@ -325,7 +315,7 @@ _estimate_command("estimate-r", "estimate_r_mc",
 
 
 @main.command("surrogate")
-@click.option("--event", "kind", type=click.Choice(["eg", "log", "headline"]),
+@click.option("--event", type=click.Choice(["eg", "log", "headline"]),
               required=True)
 @click.option("--n", type=click.IntRange(min=1), required=True)
 @click.option("--gamma", type=float, required=True)
@@ -338,20 +328,14 @@ _estimate_command("estimate-r", "estimate_r_mc",
 @click.option("--trials", type=click.IntRange(min=1), required=True)
 @click.option("--seed", type=int, required=True)
 @output_options()
-def surrogate_cmd(kind, n, gamma, delta, threshold, multiplier, trials, seed,
-                  output_format, out):
+def surrogate_cmd(event, n, gamma, delta, threshold, multiplier, trials, seed,
+                  output, out):
     """Monte Carlo event frequencies on the exponential surrogate walk."""
-    started = time.perf_counter()
     est = walks.estimate_event(
-        kind, n, gamma, delta, trials, RandomStream(seed, 0),
+        event, n, gamma, delta, trials, RandomStream(seed, 0),
         threshold=threshold, multiplier=multiplier,
     )
-    params = {"event": kind, "n": n, "gamma": gamma, "delta": delta,
-              "threshold": threshold, "multiplier": multiplier,
-              "trials": trials}
-    _emit_estimate("surrogate", est, seed, params, output_format, out,
-                   {"estimate": "walks.estimate_event",
-                    "ci": "stats.wilson_interval"}, started)
+    _emit_estimate("surrogate", est, seed, "walks.estimate_event")
 
 
 @main.group("gp")
@@ -363,35 +347,26 @@ def gp_group():
 @click.option("--m", type=click.IntRange(min=1), required=True)
 @click.option("--n", type=click.IntRange(min=1), required=True)
 @output_options()
-def gp_cov_cmd(m, n, output_format, out):
+def gp_cov_cmd(m, n, output, out):
     """Closed-form covariance Cov(Z_m, Z_n)."""
-    started = time.perf_counter()
-    value = gaussian.gp_cov(m, n)
-    _emit(subcommand="gp cov", parameters={"m": m, "n": n},
-          columns=("m", "n", "cov"), rows=[(m, n, value)],
-          output_format=output_format, out=out,
-          provenance={"cov": "gaussian.gp_cov"}, started=started)
+    _emit("gp cov", ("m", "n", "cov"), [(m, n, gaussian.gp_cov(m, n))],
+          {"cov": "gaussian.gp_cov"})
 
 
 @gp_group.command("persist")
-@click.option("--N", "big_n", type=click.IntRange(min=1), required=True)
+@click.option("--N", "N", type=click.IntRange(min=1), required=True)
 @click.option("--alpha", type=float, default=0.0, show_default=True)
 @click.option("--trials", type=click.IntRange(min=1), required=True)
 @click.option("--seed", type=int, required=True)
 @output_options()
-def gp_persist_cmd(big_n, alpha, trials, seed, output_format, out):
+def gp_persist_cmd(N, alpha, trials, seed, output, out):
     """Monte Carlo persistence probability P(max_(k<=N) Z_k <= N^alpha)."""
-    started = time.perf_counter()
-    est = gaussian.persistence_prob(big_n, alpha, trials, RandomStream(seed, 0))
-    row = (big_n, alpha, trials, est.hits, est.estimate, est.ci_lo,
-           est.ci_hi, seed)
-    _emit(subcommand="gp persist",
-          parameters={"N": big_n, "alpha": alpha, "trials": trials},
-          columns=("N", "alpha", "trials", "hits", "estimate", "ci_lo",
-                   "ci_hi", "seed"),
-          rows=[row], output_format=output_format, out=out, seed=seed,
-          provenance={"estimate": "gaussian.persistence_prob",
-                      "ci": "stats.wilson_interval"}, started=started)
+    est = gaussian.persistence_prob(N, alpha, trials, RandomStream(seed, 0))
+    row = (N, alpha, trials, est.hits, est.estimate, est.ci_lo, est.ci_hi, seed)
+    _emit("gp persist",
+          ("N", "alpha", "trials", "hits", "estimate", "ci_lo", "ci_hi", "seed"),
+          [row], {"estimate": "gaussian.persistence_prob",
+                  "ci": "stats.wilson_interval"}, seed=seed)
 
 
 @main.group("exponents")
@@ -404,20 +379,15 @@ def exponents_group():
 @click.option("--beta-override", type=float, default=None,
               help="Skip the scale equation and use this rate directly.")
 @output_options(default_format="json")
-def exponents_solve_cmd(tolerance, beta_override, output_format, out):
+def exponents_solve_cmd(tolerance, beta_override, output, out):
     """Solve the full pipeline and report all five constants."""
-    started = time.perf_counter()
     sol = gaussian.solve_exponent_pipeline(
         tolerance=tolerance, beta_override=beta_override
     )
     columns = ("rho_star", "beta", "delta", "gamma", "exponent")
     rows = [(sol.rho_star, sol.beta, sol.delta, sol.gamma, sol.exponent)]
-    _emit(subcommand="exponents solve",
-          parameters={"tolerance": tolerance, "beta_override": beta_override},
-          columns=columns, rows=rows, output_format=output_format, out=out,
-          provenance={col: "gaussian.solve_exponent_pipeline"
-                      for col in columns},
-          started=started)
+    _emit("exponents solve", columns, rows,
+          dict.fromkeys(columns, "gaussian.solve_exponent_pipeline"))
 
 
 @main.command("selfcheck")
@@ -425,11 +395,10 @@ def exponents_solve_cmd(tolerance, beta_override, output_format, out):
               help="Run only the named check(s); repeatable.")
 @click.option("--seed", type=int, default=selfcheck.DEFAULT_SEED,
               show_default=True)
-@click.option("--list", "list_checks", is_flag=True,
-              help="List check names and exit.")
-def selfcheck_cmd(only, seed, list_checks):
+@click.option("--list", is_flag=True, help="List check names and exit.")
+def selfcheck_cmd(only, seed, list):  # noqa: A002 (named by its flag)
     """Run the built-in verification battery; nonzero exit on failure."""
-    if list_checks:
+    if list:
         for name in selfcheck.CHECK_NAMES:
             click.echo(name)
         return
@@ -438,7 +407,7 @@ def selfcheck_cmd(only, seed, list_checks):
         raise click.UsageError(
             f"unknown check(s) {', '.join(unknown)}; see selfcheck --list"
         )
-    names = list(only) if only else selfcheck.CHECK_NAMES
+    names = only or selfcheck.CHECK_NAMES
     failures = 0
     for name in names:
         result = selfcheck.run_check(name, seed)

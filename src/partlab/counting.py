@@ -1,4 +1,4 @@
-"""Exact counting, enumeration, unranking, and exact probabilities.
+"""Exact counting, ranking and unranking, and exact probabilities.
 
 The workhorse is a table of restricted counts c(m, k) = number of
 partitions of m whose largest part is at most k, one numpy array built
@@ -25,7 +25,6 @@ __all__ = [
     "PartitionTable",
     "build_table",
     "comparable_count",
-    "enumerate_partitions",
     "exact_p",
     "exact_r",
     "graphical_count",
@@ -119,42 +118,6 @@ def pentagonal_counts(max_n):
             j += 1
         pi[n] = total
     return pi
-
-
-def _part_tuples(n):
-    # reverse-lexicographic enumeration, in-place successor stepping
-    if n == 0:
-        yield ()
-        return
-    parts = [n]
-    while True:
-        yield tuple(parts)
-        i = len(parts) - 1
-        while i >= 0 and parts[i] == 1:
-            i -= 1
-        if i < 0:
-            return
-        rem = len(parts) - i  # trailing ones plus the freed unit
-        new = parts[i] - 1
-        del parts[i + 1:]
-        parts[i] = new
-        while rem > new:
-            parts.append(new)
-            rem -= new
-        if rem:
-            parts.append(rem)
-
-
-def enumerate_partitions(n):
-    """Yield every partition of n once, in reverse-lexicographic order.
-
-    The stream starts at (n) and ends at (1,...,1); its length is
-    pi(n).  n = 0 yields exactly the empty partition.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    for parts in _part_tuples(n):
-        yield Partition(parts)
 
 
 def unrank_pairs(table, n, indices):

@@ -52,8 +52,6 @@ CHOLESKY_CAP = 2000
 #: Largest process index: one path of Z_1..Z_n fills at most one Monte
 #: Carlo block, and H_n by fsum takes about 0.3 s.
 _MAX_INDEX = MC_BLOCK_ELEMENTS
-#: Ternary-search steps per level in _search_exponents: (2/3)^120 ~ 1e-21.
-_SEARCH_ITERS = 120
 
 
 def _require_index(n):
@@ -76,6 +74,7 @@ def harmonic_prefix(n):
     """Array of H_1..H_n, accumulated with compensated summation."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    _require_index(n)
     return kahan_cumsum(1.0 / np.arange(1.0, n + 1.0))
 
 
@@ -97,9 +96,13 @@ def cov_matrix(n):
 
     Symmetric positive definite; entry (i, j) equals
     gp_cov(min(i,j)+1, max(i,j)+1) up to accumulation error ~1 ulp.
+    It holds several n x n arrays at once, so n is capped at
+    CHOLESKY_CAP, the largest size the dense sampler factors.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n > CHOLESKY_CAP:
+        raise ValueError(f"n = {n} above dense factorization cap {CHOLESKY_CAP}")
     h = np.concatenate(([0.0], harmonic_prefix(n)))
     idx = np.arange(1, n + 1)
     lo = np.minimum.outer(idx, idx)
@@ -126,12 +129,8 @@ def sample_gp_cholesky(n, paths, rng):
 
     Factors the covariance once and returns a (paths, n) array.  Cost
     is O(n^3), so n is capped at CHOLESKY_CAP, where the covariance
-    still factors without help.
+    still factors without help; ``cov_matrix`` refuses a larger n.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > CHOLESKY_CAP:
-        raise ValueError(f"n = {n} above dense factorization cap {CHOLESKY_CAP}")
     chol = np.linalg.cholesky(cov_matrix(n))
     return rng.standard_normal((paths, n)) @ chol.T
 
@@ -239,55 +238,18 @@ class ExponentSolution:
         }
 
 
-def _search_exponents(beta):
-    # nested ternary search of max_{delta,gamma} min(...) over
-    # 0 < delta < gamma < 1/4; the objective is jointly concave
-    def value(delta, gamma):
-        return min(0.5 - 2.0 * gamma, delta / 2.0, beta * (gamma - delta))
-
-    def best_gamma(delta):
-        a, b = delta, 0.25
-        for _ in range(_SEARCH_ITERS):
-            m1 = a + (b - a) / 3.0
-            m2 = b - (b - a) / 3.0
-            if value(delta, m1) < value(delta, m2):
-                a = m1
-            else:
-                b = m2
-        g = 0.5 * (a + b)
-        return g, value(delta, g)
-
-    a, b = 0.0, 0.25
-    for _ in range(_SEARCH_ITERS):
-        m1 = a + (b - a) / 3.0
-        m2 = b - (b - a) / 3.0
-        if best_gamma(m1)[1] < best_gamma(m2)[1]:
-            a = m1
-        else:
-            b = m2
-    d = 0.5 * (a + b)
-    return d, best_gamma(d)[0]
-
-
 def optimize_exponents(beta, *, rho_star=None):
     """Maximin solution of min(1/2 - 2 gamma, delta/2, beta (gamma - delta)).
 
     At the optimum all three terms are equal, which gives the closed
     form delta = beta/(2 + 5 beta), gamma = 1/4 - delta/4, and
-    exponent = delta/2.  A derivative-free nested ternary search over
-    the feasible region re-derives the optimum to 1e-6 as a guard
-    against algebra slips.
+    exponent = delta/2.  The tests check it against a nested ternary
+    search over the feasible region.
     """
     if not 0 < beta < math.inf:
         raise ValueError("beta must be finite and positive")
     delta = beta / (2.0 + 5.0 * beta)
     gamma = 0.25 - delta / 4.0
-    d2, g2 = _search_exponents(beta)
-    if abs(d2 - delta) > 1e-6 or abs(g2 - gamma) > 1e-6:
-        raise RuntimeError(
-            "closed-form optimum disagrees with direct search: "
-            f"({delta}, {gamma}) vs ({d2}, {g2})"
-        )
     return ExponentSolution(
         rho_star=rho_star,
         beta=beta,

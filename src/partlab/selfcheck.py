@@ -78,13 +78,20 @@ def check_constants_pipeline():
 
 @_check("graphicality-oracles", budget=300.0)
 def check_graphicality_oracles():
-    """Erdos-Gallai agrees with Havel-Hakimi on every partition, n <= 26."""
+    """Erdos-Gallai, per partition and by the batch kernel, agrees with
+    Havel-Hakimi on every partition, n <= 26."""
+    table = counting.build_table(26)
     total = 0
     mismatches = 0
     for n in range(27):
-        for parts in counting._part_tuples(n):
+        count = table.count(n)
+        row, part = counting.unrank_pairs(table, n, np.arange(count))
+        batch = sampling.PartitionBatch.from_parts(n, count, row, part).graphical()
+        for r, kernel in enumerate(batch):
+            parts = tuple(part[row == r].tolist())
             total += 1
-            if is_graphical_eg(parts) != is_graphical_hh(parts):
+            hh = is_graphical_hh(parts)
+            if is_graphical_eg(parts) != hh or kernel != hh:
                 mismatches += 1
     detail = f"{total} partitions over n<=26, {mismatches} mismatches"
     return mismatches == 0, detail

@@ -1,7 +1,8 @@
 """Reference implementations the tests check partlab's kernels against.
 
-Each function computes its answer directly, on one walk path or one
-partition, and shares no code with the kernel it checks:
+Each function computes its answer directly, by the plainest method
+(one walk path or one partition at a time, or a search), and shares no
+code with the kernel it checks:
 
 * the surrogate walk events on a single gen_walk path, and the
   per-path proof-step diagnostics (burn-in log-sum bound, drift gap,
@@ -9,7 +10,11 @@ partition, and shares no code with the kernel it checks:
 * the Gale-Ryser criterion and Kostka numbers by tableau enumeration,
   against the dominance order of partlab.partitions;
 * the one-draw exact sampler, against the batch unranking of
-  sampling.sample_uniform_batch.
+  sampling.sample_uniform_batch;
+* the reverse-lexicographic enumeration of the partitions of n, the
+  p(n) oracle for n <= 40, against counting's unranking and DPs;
+* a nested ternary search for the maximin exponents, against the
+  closed form of gaussian.optimize_exponents.
 
 tests/test_walks.py::test_oracles_do_not_use_the_block_kernel keeps the
 walk events off the block kernel, so that the replay tests never
@@ -25,7 +30,7 @@ import numpy as np
 
 from partlab import walks
 from partlab.counting import unrank
-from partlab.partitions import _conjugate_parts, _parts_of, dominates
+from partlab.partitions import Partition, _conjugate_parts, _parts_of, dominates
 from partlab.stats import kahan_cumsum
 from partlab.walks import _require_delta, _row_values, floor_power, headline_threshold
 
@@ -254,3 +259,78 @@ def sample_exact_uniform(table, n, rng):
     """Exactly uniform partition of n, by unranking a uniform index; the
     one-draw case of method 'exact' in ``sample_uniform_batch``."""
     return unrank(table, n, rng.integer_below(table.count(n)))
+
+
+# ---------------------------------------------------------- enumeration
+
+
+def _part_tuples(n):
+    # reverse-lexicographic enumeration, in-place successor stepping
+    if n == 0:
+        yield ()
+        return
+    parts = [n]
+    while True:
+        yield tuple(parts)
+        i = len(parts) - 1
+        while i >= 0 and parts[i] == 1:
+            i -= 1
+        if i < 0:
+            return
+        rem = len(parts) - i  # trailing ones plus the freed unit
+        new = parts[i] - 1
+        del parts[i + 1:]
+        parts[i] = new
+        while rem > new:
+            parts.append(new)
+            rem -= new
+        if rem:
+            parts.append(rem)
+
+
+def enumerate_partitions(n):
+    """Yield every partition of n once, in reverse-lexicographic order.
+
+    The stream starts at (n) and ends at (1,...,1); its length is
+    pi(n).  n = 0 yields exactly the empty partition.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    for parts in _part_tuples(n):
+        yield Partition(parts)
+
+
+# ------------------------------------------------------------- exponents
+
+#: Ternary-search steps per level in search_exponents: (2/3)^120 ~ 1e-21.
+SEARCH_ITERS = 120
+
+
+def search_exponents(beta):
+    # nested ternary search of max_{delta,gamma} min(...) over
+    # 0 < delta < gamma < 1/4; the objective is jointly concave
+    def value(delta, gamma):
+        return min(0.5 - 2.0 * gamma, delta / 2.0, beta * (gamma - delta))
+
+    def best_gamma(delta):
+        a, b = delta, 0.25
+        for _ in range(SEARCH_ITERS):
+            m1 = a + (b - a) / 3.0
+            m2 = b - (b - a) / 3.0
+            if value(delta, m1) < value(delta, m2):
+                a = m1
+            else:
+                b = m2
+        g = 0.5 * (a + b)
+        return g, value(delta, g)
+
+    a, b = 0.0, 0.25
+    for _ in range(SEARCH_ITERS):
+        m1 = a + (b - a) / 3.0
+        m2 = b - (b - a) / 3.0
+        if best_gamma(m1)[1] < best_gamma(m2)[1]:
+            a = m1
+        else:
+            b = m2
+    d = 0.5 * (a + b)
+    return d, best_gamma(d)[0]

@@ -8,11 +8,12 @@ the packaging metadata rather than these tests.
 import json
 import time
 
+import click
 import pytest
 from click.testing import CliRunner
 
 from partlab import gaussian, selfcheck
-from partlab.cli import main
+from partlab.cli import _leaves, main
 from partlab.partitions import Partition
 
 
@@ -504,10 +505,10 @@ class TestConfigFile:
         assert res.output.startswith("error:")
 
     @pytest.mark.parametrize("line, named", [
-        ("trails = 7", "accepted: alpha, beta_override, big_n,"),
+        ("trails = 7", "accepted: N, alpha, beta_override, delta,"),
         ("surogate.trials = 5", "subcommands: exact, sample,"),
         ("gp.trials = 5", "gp.cov, gp.persist,"),
-        ("gp.persist.N = 50", "accepted: alpha, big_n, out, output_format, seed, trials"),
+        ("gp.persist.big_n = 50", "accepted: N, alpha, out, output, seed, trials"),
     ], ids=["plain-typo", "subcommand-typo", "group-not-subcommand", "parameter-typo"])
     def test_key_matching_nothing_rejected(self, runner, tmp_path, line, named):
         cfg = tmp_path / "cfg.txt"
@@ -520,8 +521,8 @@ class TestConfigFile:
         assert named in res.output
 
     @pytest.mark.parametrize("line, args, flags", [
-        ("exact.weights = 12", ["exact", "--p"], ["--n", "12"]),
-        ("exact.weights = 12, 20", ["exact", "--p"], ["--n", "12", "--n", "20"]),
+        ("exact.n = 12", ["exact", "--p"], ["--n", "12"]),
+        ("exact.n = 12, 20", ["exact", "--p"], ["--n", "12", "--n", "20"]),
         ("selfcheck.only = exact-small-values", ["selfcheck"],
          ["--only", "exact-small-values"]),
         ("selfcheck.only = exact-small-values,counting-oracle", ["selfcheck"],
@@ -537,6 +538,28 @@ class TestConfigFile:
         # selfcheck lines carry their timings
         assert [row.split(" (")[0] for row in lines(res)] == [
             row.split(" (")[0] for row in lines(want)]
+
+    @pytest.mark.parametrize("line, args, flags", [
+        ("n = 12", ["exact", "--p"], ["--n", "12"]),
+        ("gp.persist.N = 50", ["gp", "persist", "--trials", "20", "--seed", "3"],
+         ["--N", "50"]),
+    ], ids=["plain-n-reaches-exact", "uppercase-N"])
+    def test_config_key_is_the_flag(self, runner, tmp_path, line, args, flags):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(line + "\n")
+        res = runner.invoke(main, ["--config", str(cfg)] + args)
+        assert res.exit_code == 0, res.output
+        assert res.output == runner.invoke(main, args + flags).output
+
+    def test_option_names_are_their_flags(self):
+        # A parameter's keyword, config key and manifest key are its long
+        # flag with "-" turned into "_"; selfcheck's --list is named list,
+        # not list_, since its body has no use for the builtin.
+        for path, command in [((), main), *_leaves(main)]:
+            for param in command.params:
+                if isinstance(param, click.Option):
+                    flag, = (opt for opt in param.opts if opt.startswith("--"))
+                    assert param.name == flag[2:].replace("-", "_"), (path, flag)
 
 
 class TestOutputFiles:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+import oracles
 from partlab import counting, gaussian
 from partlab.rng import RandomStream
 
@@ -44,6 +45,7 @@ class TestIndexLimit:
 
     @pytest.mark.parametrize("index, call", [
         (LIMIT + 1, lambda: gaussian.harmonic(4 * 10**6 + 1)),
+        (LIMIT + 1, lambda: gaussian.harmonic_prefix(4 * 10**6 + 1)),
         (10**12, lambda: gaussian.gp_cov(1, 10**12)),
         (10**12, lambda: gaussian.gp_cov(10**12, 1)),
         (10**9, lambda: gaussian.persistence_prob(10**9, 0.0, 1, RandomStream(1, 0))),
@@ -99,6 +101,16 @@ class TestCovariance:
     def test_matrix_is_positive_definite_at_cap(self):
         chol = np.linalg.cholesky(gaussian.cov_matrix(2000))
         assert np.all(np.diag(chol) > 0)
+
+    def test_matrix_refused_above_cap_before_any_work(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^n = 2001 above dense factorization cap 2000$"):
+                gaussian.cov_matrix(2001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
 
 
 class TestSamplers:
@@ -221,6 +233,13 @@ class TestExponents:
         assert abs(sol.delta - 0.006594420627) <= 1e-8
         assert abs(sol.gamma - 0.2483513948) <= 1e-8
         assert abs(sol.exponent - 0.003297210314) <= 1e-9
+
+    @pytest.mark.parametrize("beta", [1e-4, 0.01363853235, 0.5, 10.0])
+    def test_closed_form_matches_search(self, beta):
+        sol = gaussian.optimize_exponents(beta)
+        delta, gamma = oracles.search_exponents(beta)
+        assert abs(sol.delta - delta) <= 1e-6
+        assert abs(sol.gamma - gamma) <= 1e-6
 
     def test_residuals_vanish(self):
         sol = gaussian.optimize_exponents(0.01363853235)

@@ -1,7 +1,6 @@
 import pytest
 
-from oracles import KOSTKA_WEIGHT_CAP, gale_ryser, kostka
-from partlab.counting import enumerate_partitions
+from oracles import KOSTKA_WEIGHT_CAP, enumerate_partitions, gale_ryser, kostka
 from partlab.partitions import (
     Partition,
     conjugate,

@@ -251,14 +251,14 @@ class TestPinnedPlainOutput:
 class TestPartitionBatch:
     def test_graphical_matches_oracles_exhaustively(self):
         for n in range(31):
-            parts = list(counting.enumerate_partitions(n))
+            parts = list(oracles.enumerate_partitions(n))
             batch = sampling.PartitionBatch.from_partitions(n, parts)
             assert list(batch) == parts
             assert batch.graphical().tolist() == [is_graphical_eg(lam) for lam in parts]
 
     def test_dominance_matches_oracle_exhaustively(self):
         for n in range(15):
-            parts = list(counting.enumerate_partitions(n))
+            parts = list(oracles.enumerate_partitions(n))
             left = [lam for lam in parts for _ in parts]
             right = parts * len(parts)
             got = sampling.PartitionBatch.from_partitions(n, left).dominated_by(
