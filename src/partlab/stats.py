@@ -122,6 +122,7 @@ def kahan_cumsum(values):
     return out
 
 
+# Stays only because perfbench/layers.py wraps it; ROADMAP item 1 step 2 deletes it.
 def kahan_cumsum_rows(a):
     """Compensated prefix sums along axis 1 of a 2-D array.
 

@@ -23,7 +23,8 @@ estimates depend on the seed and stream only, not on the block size.
 A block is evaluated as (steps, paths) arrays whose column p is path p:
 each step is one vector operation across the block's paths, and each
 per-path reduction is an elementwise minimum or sum across steps, with
-the additions of a path evaluated on its own, in their order.
+the additions of a path evaluated on its own, in their order; each
+prefix-sum verdict is exact for the stored float64 terms.
 (RandomStream.uniform_open redraws an exact 0.0 at the end of each
 rng.exponential call, a sub-draw of at most _SUBDRAW_ELEMENTS variates
 within a block; that has probability 2^-53 per variate.)
@@ -31,8 +32,10 @@ within a block; that has probability 2^-53 per variate.)
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy.special import betainc
@@ -41,7 +44,6 @@ from .stats import (
     C_SCALE,
     MC_BLOCK_ELEMENTS,
     Z95,
-    kahan_cumsum_rows,
     make_estimate,
 )
 
@@ -248,19 +250,21 @@ def _eg_rows(n, s, sp):
     return np.all(gap >= np.arange(1, s.shape[0] + 1)[:, None], axis=0)
 
 
-def _kahan_prefix_min(terms):
-    """Per path, the least compensated prefix sum of step-major terms.
-
-    terms.T is (paths, steps); on a step-major block it is column
-    contiguous, so kahan_cumsum_rows steps along contiguous columns.
-    """
-    return kahan_cumsum_rows(terms.T).min(axis=1)
-
-
-def _log_ratio_min_rows(s, sp):
-    """Per path, the least prefix sum of log(S'_j) - log(S_j): the path
-    meets the log event at threshold t iff this is >= t."""
-    return _kahan_prefix_min(np.log(sp) - np.log(s))
+def _prefix_min_at_least(terms, *cuts):
+    """Per cut, whether each path's least prefix sum of the step-major
+    terms is >= cut, exactly for the stored floats: a float prefix sum
+    lies within steps * 2^-52 * sum|terms| of the real one (twice the
+    bound of Higham, Accuracy and Stability of Numerical Algorithms,
+    sec. 4.2), and a path that close to a cut is decided on Fractions."""
+    bound = terms.shape[0] * 2.0**-52 * np.abs(terms).sum(axis=0)
+    low = _cumsum_steps(terms.copy(order="K")).min(axis=0)
+    verdicts = []
+    for cut in cuts:
+        ok = low >= cut
+        for p in np.flatnonzero(np.abs(low - cut) <= bound):
+            ok[p] = min(itertools.accumulate(map(Fraction, terms[:, p].tolist()))) >= cut
+        verdicts.append(ok)
+    return verdicts
 
 
 def estimate_event(kind, n, gamma, delta, trials, rng, *,
@@ -274,8 +278,8 @@ def estimate_event(kind, n, gamma, delta, trials, rng, *,
     delta).
     Paths are drawn path-major in blocks and evaluated step-major (see
     the module docstring), so the result does not depend on the block
-    size; each path's verdict is that of the event evaluated on its
-    own gen_walk path.
+    size; each path's verdict is that of the event evaluated exactly on
+    the float64 terms of its own gen_walk path.
     """
     if kind not in ("eg", "log", "headline"):
         raise ValueError(f"unknown event kind {kind!r}")
@@ -297,9 +301,9 @@ def estimate_event(kind, n, gamma, delta, trials, rng, *,
         if kind == "eg":
             ok = _eg_rows(n, s, sp)
         elif kind == "log":
-            ok = _log_ratio_min_rows(s, sp) >= threshold
+            ok, = _prefix_min_at_least(np.log(sp) - np.log(s), threshold)
         else:
-            ok = _kahan_prefix_min((sp - s) / jj) >= cut
+            ok, = _prefix_min_at_least((sp - s) / jj, cut)
         hits += int(np.count_nonzero(ok))
     return make_estimate(kind, hits, trials, n=n, gamma=gamma, delta=delta)
 
@@ -308,8 +312,8 @@ def estimate_event(kind, n, gamma, delta, trials, rng, *,
 class ContainmentReport:
     """Path-by-path tally of the inequality chain eg => log(0) => log(-1).
 
-    log(0) => log(-1) holds by arithmetic, as both read one prefix
-    minimum, so only eg => log(0) can be violated.
+    log(0) => log(-1) holds by arithmetic, as both verdicts are exact
+    for one set of stored terms, so only eg => log(0) can be violated.
     """
 
     trials: int
@@ -330,8 +334,8 @@ def check_containment(n, gamma, trials, rng):
     single path (not merely in distribution); the report counts any
     violations, which should be zero.  Paths are those of gen_walk
     called ``trials`` times on ``rng``, drawn in blocks as in
-    estimate_event; one log-ratio prefix minimum per path serves both
-    log thresholds.
+    estimate_event; one pass of log-ratio prefix sums serves both log
+    thresholds.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -339,11 +343,10 @@ def check_containment(n, gamma, trials, rng):
     eg_hits = log0 = logneg1 = bad01 = 0
     for s, sp in _walk_blocks(length, trials, rng):
         a = _eg_rows(n, s, sp)
-        low = _log_ratio_min_rows(s, sp)
-        b = low >= 0.0
+        b, c = _prefix_min_at_least(np.log(sp) - np.log(s), 0.0, -1.0)
         eg_hits += int(np.count_nonzero(a))
         log0 += int(np.count_nonzero(b))
-        logneg1 += int(np.count_nonzero(low >= -1.0))
+        logneg1 += int(np.count_nonzero(c))
         bad01 += int(np.count_nonzero(a & ~b))
     return ContainmentReport(
         trials=trials,

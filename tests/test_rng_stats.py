@@ -217,8 +217,8 @@ class TestCompensatedSums:
             assert np.array_equal(rows[i], kahan_cumsum(a[i]))
 
     def test_cumsum_rows_same_on_column_major_input(self):
-        # the walk estimators pass the transpose of step-major terms,
-        # an F-ordered array whose columns are contiguous
+        # the transpose of step-major terms is an F-ordered array whose
+        # columns are contiguous
         a = RandomStream(23, 0).standard_normal((64, 9)) * 1e8
         f = np.asfortranarray(a)
         assert f.flags.f_contiguous and not f.flags.c_contiguous

@@ -1,6 +1,8 @@
 import dataclasses
+import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 import oracles
 from partlab import gaussian, selfcheck, walks
 from partlab.rng import RandomStream
-from partlab.stats import C_SCALE, MC_BLOCK_ELEMENTS, Z95
+from partlab.stats import C_SCALE, MC_BLOCK_ELEMENTS, Z95, kahan_cumsum
 from partlab.walks import WalkPath
 
 
@@ -282,10 +284,45 @@ def test_oracles_do_not_use_the_block_kernel(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("oracle called the block kernel")
 
-    for name in ("_walk_blocks", "_cumsum_steps", "_eg_rows", "_kahan_prefix_min",
-                 "_log_ratio_min_rows"):
+    for name in ("_walk_blocks", "_cumsum_steps", "_eg_rows", "_prefix_min_at_least"):
         monkeypatch.setattr(walks, name, refuse)
     assert answers() == want
+
+
+def _exact_min_at_least(column, cut):
+    """Whether the least prefix sum of the floats in ``column``, summed
+    as Fractions, is at least ``cut``."""
+    return min(itertools.accumulate(map(Fraction, column))) >= cut
+
+
+class TestCertifiedPrefixMin:
+    """_prefix_min_at_least decides as exact Fraction sums do, where
+    plain float prefix sums land on the wrong side of the cut."""
+
+    @pytest.mark.parametrize("column, cut, compensated", [
+        # plain float minimum 0.0, exact minimum 1000 * 2^-53
+        ([1.0] + [2.0**-53] * 1000 + [-1.0], 1e-13, 1000 * 2.0**-53),
+        # plain and compensated minima 0.0, exact minimum 1.0
+        ([1.0, 1e100, 1.0, -1e100], 0.5, 0.0),
+    ])
+    def test_decides_as_exact_sums(self, column, cut, compensated):
+        assert np.cumsum(column).min() == 0.0
+        assert kahan_cumsum(column).min() == compensated
+        assert _exact_min_at_least(column, cut)
+        # one path, fewer paths than steps: the np.cumsum branch
+        ok, = walks._prefix_min_at_least(np.array(column)[:, None], cut)
+        assert ok.tolist() == [True]
+
+    def test_several_cuts_on_one_block(self):
+        # four paths of four steps take the one-add-per-step branch; the
+        # third path's exact minimum lies on the second cut
+        columns = [[1.0, 1e100, 1.0, -1e100], [1.0, 1e100, -1.0, -1e100],
+                   [0.25, 0.5, -0.25, 0.25], [2.0, -1.5, 2.0**-53, 0.0]]
+        cuts = (0.5, 0.25)
+        got = walks._prefix_min_at_least(np.array(columns).T, *cuts)
+        want = [[_exact_min_at_least(c, cut) for c in columns] for cut in cuts]
+        assert want == [[True, False, False, True], [True, False, True, True]]
+        assert [ok.tolist() for ok in got] == want
 
 
 def _containment_replay(n, gamma, trials, rng):
@@ -364,6 +401,16 @@ class TestPinnedOutputs:
                                     ("headline", -1.0))
         ]
         assert got == hits
+
+    def test_longest_paths(self):
+        # 100 paths of WALK_MAX_LENGTH steps, pinned from compensated
+        # prefix sums: there they differ most from plain ones (3.8e-11)
+        got = [
+            walks.estimate_event(kind, 10**25, 0.2, self.DELTA, 100, RandomStream(45, 5),
+                                 threshold=-1.0, multiplier=0.1).hits
+            for kind in ("log", "headline")
+        ]
+        assert got == [9, 39]
 
     @pytest.mark.parametrize("n, trials, seed, tallies", [
         (10**4, 10000, 41, (3608, 3650, 4911)),
