@@ -222,22 +222,6 @@ class ExponentSolution:
     gamma: float
     exponent: float
 
-    def residuals(self):
-        """Pairwise gaps of the three objective terms; ~0 at a solution."""
-        t1 = 0.5 - 2.0 * self.gamma
-        t2 = self.delta / 2.0
-        t3 = self.beta * (self.gamma - self.delta)
-        return (t1 - t2, t2 - t3, t1 - t3)
-
-    def as_dict(self):
-        return {
-            "rho_star": self.rho_star,
-            "beta": self.beta,
-            "delta": self.delta,
-            "gamma": self.gamma,
-            "exponent": self.exponent,
-        }
-
 
 def optimize_exponents(beta, *, rho_star=None):
     """Maximin solution of min(1/2 - 2 gamma, delta/2, beta (gamma - delta)).

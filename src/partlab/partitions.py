@@ -65,17 +65,6 @@ class Partition:
         lam._weight = sum(lam._parts)
         return lam
 
-    @classmethod
-    def from_text(cls, text):
-        """Parse the comma-separated form, e.g. ``"4,2,1,1"``.
-
-        The empty (or all-whitespace) string is the empty partition.
-        """
-        text = text.strip()
-        if not text:
-            return cls()
-        return cls(int(tok) for tok in text.split(","))
-
     def to_text(self):
         """Comma-separated parts; the empty partition renders as ''."""
         return ",".join(str(p) for p in self._parts)

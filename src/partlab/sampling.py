@@ -37,13 +37,12 @@ its next part with a positive multiplicity (or that it has none left),
 and draws that multiplicity conditioned to be positive.  This inverts
 the first-success law exactly, so the samples are uniform for any K.
 
-Accepted samples come back as a :class:`PartitionBatch` in
-multiplicity form: an integer matrix of the multiplicities of parts
-1..K (for ``pdc`` the counts of parts 1 and 2 split the residual) and sparse
-(row, part, multiplicity) triples for the parts above K; the exact
-sampler's (row, part) pairs are packed into the same form.
-``sample_uniform_batch`` is the one draw entry point for every method
-and returns that batch.
+Accepted samples come back as a :class:`PartitionBatch`: one (row,
+part, multiplicity) triple per distinct part, sorted by row and then
+by part.  K stays inside the sampler, which turns each block's
+accepted heads and tails into triples; the exact sampler's (row, part)
+pairs are packed alike.  ``sample_uniform_batch`` is the one draw
+entry point for every method and returns that batch.
 The estimators draw through it and run the Erdos-Gallai and dominance
 tests on the batch with array code; ``Partition`` objects are built
 only when a batch is indexed or iterated.
@@ -103,41 +102,35 @@ def fristedt_q(n):
 
 
 def _head_size(n):
-    """Dense head cutoff K = min(n, ceil(3 sqrt(n)/c)).  It is at least
-    floor(sqrt(n)), which bounds the Durfee square."""
+    """Dense head cutoff K = min(n, ceil(3 sqrt(n)/c)) of the Boltzmann
+    sampler; a part above K has probability at most e^-3."""
     return min(n, math.ceil(3.0 * math.sqrt(n) / C_SCALE))
 
 
 class PartitionBatch:
-    """Partitions of one weight n in multiplicity form.
+    """Partitions of one weight n in sparse multiplicity form.
 
-    ``head[r, k-1]`` is the multiplicity of part k in row r for
-    k = 1..K, K = min(n, ceil(3 sqrt(n)/c)).  Parts above K are the
-    sparse triples ``tail_row``, ``tail_part``, ``tail_mult``, kept
-    sorted by row and then part.  Indexing with an int, or iterating,
-    builds :class:`Partition` objects; indexing with a slice selects
-    rows.
+    Row r of ``rows`` holds part ``part[t]`` with multiplicity
+    ``mult[t]`` >= 1 for every t with ``row[t]`` = r: one triple per
+    distinct part.  The constructor does not sort or check: the triples
+    must come sorted by row and then by increasing part, and every row
+    must weigh n.  Indexing with an int, or iterating, builds
+    :class:`Partition` objects; indexing with a slice selects rows.
     """
 
-    def __init__(self, n, head, tail_row, tail_part, tail_mult):
-        order = np.lexsort((tail_part, tail_row))
+    def __init__(self, n, rows, row, part, mult):
         self.n = n
-        self.head = np.asarray(head, dtype=np.int64)
-        self.tail_row = np.asarray(tail_row, dtype=np.int64)[order]
-        self.tail_part = np.asarray(tail_part, dtype=np.int64)[order]
-        self.tail_mult = np.asarray(tail_mult, dtype=np.int64)[order]
+        self.rows = rows
+        self.row = np.asarray(row, dtype=np.int64)
+        self.part = np.asarray(part, dtype=np.int64)
+        self.mult = np.asarray(mult, dtype=np.int64)
 
     @classmethod
     def from_parts(cls, n, rows, row, part):
         """Pack ``rows`` partitions of weight n, given as one (row, part)
         pair per part, into multiplicity form."""
-        K = _head_size(n)
-        small = part <= K
-        head = np.bincount(row[small] * K + part[small] - 1,
-                           minlength=rows * K).reshape(rows, K)
-        key, mult = np.unique(row[~small] * (n + 1) + part[~small],
-                              return_counts=True)
-        return cls(n, head, key // (n + 1), key % (n + 1), mult)
+        key, mult = np.unique(row * (n + 1) + part, return_counts=True)
+        return cls(n, rows, key // (n + 1), key % (n + 1), mult)
 
     @classmethod
     def from_partitions(cls, n, partitions):
@@ -149,129 +142,109 @@ class PartitionBatch:
         return cls.from_parts(n, len(partitions), row, part)
 
     def __len__(self):
-        return len(self.head)
+        return self.rows
 
-    def _partition(self, r, lo, hi):
-        tail = np.repeat(self.tail_part[lo:hi][::-1], self.tail_mult[lo:hi][::-1])
-        head = np.repeat(np.arange(self.head.shape[1], 0, -1), self.head[r, ::-1])
-        return Partition.from_sorted(tail.tolist() + head.tolist())
+    def _partition(self, lo, hi):
+        return Partition.from_sorted(
+            np.repeat(self.part[lo:hi][::-1], self.mult[lo:hi][::-1]).tolist())
 
     def __getitem__(self, key):
         if isinstance(key, slice):
             return self._select(np.arange(len(self))[key])
         r = range(len(self))[key]
-        lo, hi = np.searchsorted(self.tail_row, [r, r + 1])
-        return self._partition(r, lo, hi)
+        return self._partition(*np.searchsorted(self.row, [r, r + 1]))
 
     def __iter__(self):
-        bounds = np.searchsorted(self.tail_row, np.arange(len(self) + 1))
-        return (self._partition(r, bounds[r], bounds[r + 1])
-                for r in range(len(self)))
+        bounds = np.searchsorted(self.row, np.arange(len(self) + 1))
+        return (self._partition(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]))
 
     def __eq__(self, other):
         if not isinstance(other, PartitionBatch):
             return NotImplemented
-        return self.n == other.n and all(
-            np.array_equal(a, b) for a, b in (
-                (self.head, other.head), (self.tail_row, other.tail_row),
-                (self.tail_part, other.tail_part), (self.tail_mult, other.tail_mult)))
+        return (self.n, self.rows) == (other.n, other.rows) and all(
+            np.array_equal(getattr(self, k), getattr(other, k))
+            for k in ("row", "part", "mult"))
 
     def ranks(self, table):
         """Enumeration index of every row, by ``table``; agrees with
         ``counting.rank``."""
-        row, col = np.nonzero(self.head)
-        mult = self.head[row, col]
-        row = np.concatenate((row, self.tail_row))
-        # stable, so in each row the head parts stay before the tail
-        order = np.argsort(row, kind="stable")
-        return rank_multiplicities(
-            table, self.n, len(self), row[order],
-            np.concatenate((col + 1, self.tail_part))[order],
-            np.concatenate((mult, self.tail_mult))[order])
+        return rank_multiplicities(table, self.n, len(self), self.row, self.part,
+                                   self.mult)
 
     def _select(self, rows):
-        index = np.full(len(self), -1, dtype=np.int64)
-        index[rows] = np.arange(len(rows))
-        keep = index[self.tail_row] >= 0
-        return PartitionBatch(self.n, self.head[rows], index[self.tail_row[keep]],
-                              self.tail_part[keep], self.tail_mult[keep])
+        """The batch of rows ``rows``, in that order."""
+        count = np.bincount(self.row, minlength=len(self))
+        size = count[rows]
+        lo = (np.cumsum(count) - count)[rows]
+        # triple j of the output is triple j - start + lo of its source row
+        start = np.cumsum(size) - size
+        take = np.arange(size.sum()) + np.repeat(lo - start, size)
+        return PartitionBatch(self.n, len(rows), np.repeat(np.arange(len(rows)), size),
+                              self.part[take], self.mult[take])
 
-    def _conj(self):
-        """conj_i, the number of parts >= i, for i = 1..K."""
-        above = np.bincount(self.tail_row, weights=self.tail_mult, minlength=len(self))
-        suffix = np.cumsum(self.head[:, ::-1], axis=1)[:, ::-1]
-        return suffix + above.astype(np.int64)[:, None]
+    def _at_least(self, key, weight, count):
+        """Per row, the sum of ``weight`` over the triples whose ``key``
+        is >= i, for i = 1..count."""
+        width = count + 1
+        hist = np.bincount(self.row * width + np.minimum(key, count), weights=weight,
+                           minlength=len(self) * width).reshape(-1, width)
+        return np.cumsum(hist[:, ::-1], axis=1)[:, -2::-1].astype(np.int64)
 
-    def _leading(self, conj, count):
-        # lam_j = #{i : conj_i >= j}; the i <= K share comes from a
-        # histogram of conj capped at count, the i > K share from the
-        # j-th largest tail part t_j as t_j - K
-        rows, K = self.head.shape
-        capped = np.minimum(conj, count) + (count + 1) * np.arange(rows)[:, None]
-        hist = np.bincount(capped.ravel(), minlength=rows * (count + 1))
-        lead = np.cumsum(hist.reshape(rows, count + 1)[:, ::-1], axis=1)[:, -2::-1]
-        row = np.repeat(self.tail_row, self.tail_mult)
-        part = np.repeat(self.tail_part, self.tail_mult)
-        rank = np.searchsorted(row, row, side="right") - 1 - np.arange(len(row))
-        keep = rank < count
-        lead[row[keep], rank[keep]] += part[keep] - K
-        return lead
+    def _profile(self, count):
+        """conj_i, the number of parts >= i, and lam_i, the i-th largest
+        part or 0 past the last, of every row for i = 1..count."""
+        length = np.bincount(self.row, self.mult, len(self)).astype(np.int64)
+        # by conjugation lam_i sums, over the parts p with at least i parts
+        # >= p, the gap from p down to the next smaller part of its row
+        above = np.cumsum(length)[self.row] - np.cumsum(self.mult) + self.mult
+        gap = np.where(np.diff(self.row, prepend=-1) != 0, self.part,
+                       np.diff(self.part, prepend=0))
+        return (self._at_least(self.part, self.mult, count),
+                self._at_least(above, gap, count))
 
     def leading_parts(self, count):
         """Matrix of the ``count`` largest parts of each row, padded
         with zeros."""
-        return self._leading(self._conj(), count)
+        return self._profile(count)[1]
 
     def graphical(self):
         """Erdos-Gallai test of every row; agrees with
         ``partitions.is_graphical_eg``.  Only i up to the Durfee size,
-        at most floor(sqrt(n)) <= K, is tested."""
+        at most floor(sqrt(n)), is tested."""
         if self.n % 2:
             return np.zeros(len(self), dtype=bool)
         top = math.isqrt(self.n)
         i = np.arange(1, top + 1)
-        conj = self._conj()
-        lam = self._leading(conj, top)
-        slack = np.cumsum(conj[:, :top] - lam, axis=1) - i
+        conj, lam = self._profile(top)
+        slack = np.cumsum(conj - lam, axis=1) - i
         durfee = (lam >= i).sum(axis=1)
         return ((slack >= 0) | (i > durfee[:, None])).all(axis=1)
-
-    def _excess_tail(self, row, k):
-        """E_k = sum_{p > k} (p - k) m_p of the given rows at k >= K,
-        where only tail parts count."""
-        n1 = self.n + 1
-        key = self.tail_row * n1 + self.tail_part
-        mass = np.append(np.cumsum((self.tail_part * self.tail_mult)[::-1])[::-1], 0)
-        size = np.append(np.cumsum(self.tail_mult[::-1])[::-1], 0)
-        lo = np.searchsorted(key, row * n1 + k, side="right")
-        hi = np.searchsorted(key, (row + 1) * n1)
-        return (mass[lo] - mass[hi]) - k * (size[lo] - size[hi])
-
-    def _excess_head(self):
-        """E_k for k = 0..K, one row per partition: E_K from the tail
-        plus the sum of conj_i over i = k+1..K."""
-        rows, K = self.head.shape
-        out = np.empty((rows, K + 1), dtype=np.int64)
-        out[:, K] = self._excess_tail(np.arange(rows), np.full(rows, K))
-        out[:, :K] = np.cumsum(self._conj()[:, ::-1], axis=1)[:, ::-1] + out[:, K:]
-        return out
 
     def dominated_by(self, other):
         """Row-wise dominance self[r] <= other[r]; agrees with
         ``partitions.dominates``.
 
-        lam <= mu iff E_k(lam) <= E_k(mu) for every k >= 0, where E_k
-        counts the cells right of column k.  E_k is linear in k between
-        part sizes, so k = 0..K and every tail part size of either row
+        lam <= mu iff D_k = E_k(lam) - E_k(mu) <= 0 for every k >= 0,
+        where E_k counts the cells right of column k.  D_0 = 0, and D_k
+        is linear in k between part sizes of either row, so those sizes
         suffice.
         """
         if other.n != self.n or len(other) != len(self):
             raise ValueError("dominance needs two batches of one weight and size")
-        ok = (self._excess_head() <= other._excess_head()).all(axis=1)
-        row = np.concatenate((self.tail_row, other.tail_row))
-        k = np.concatenate((self.tail_part, other.tail_part))
-        ok[row[self._excess_tail(row, k) > other._excess_tail(row, k)]] = False
-        return ok
+        row, part, diff = (np.concatenate(column) for column in zip(
+            (self.row, self.part, self.mult), (other.row, other.part, -other.mult)))
+        # a stable sort merges the two sorted runs in one pass
+        order = np.argsort(row * (self.n + 1) + part, kind="stable")
+        row, part, diff = row[order], part[order], diff[order]
+        # D_k at k = part[t] sums (p - k) diff_p from t to the row's end;
+        # the p diff_p of a row sum to n - n = 0, so only the diff_p sums
+        # need the later rows taken off
+        mass = np.cumsum((part * diff)[::-1])[::-1]
+        size = np.append(np.cumsum(diff[::-1])[::-1], 0)
+        count = np.bincount(row, minlength=len(self))
+        end = np.repeat(np.cumsum(count), count)
+        excess = mass - part * (size[:-1] - size[end])
+        return np.bincount(row[excess > 0], minlength=len(self)) == 0
 
 
 @lru_cache(maxsize=16)
@@ -357,7 +330,7 @@ def sample_fristedt_batch(n, count, rng, *, max_rejections=10**7, pdc=False):
                        for j in (math.floor(top), math.ceil(top)))
 
     empty = np.zeros(0, dtype=np.int64)
-    heads, tails = [np.zeros((0, K), dtype=np.int64)], [(empty, empty, empty)]
+    triples = [(empty, empty, empty)]
     accepted = attempts = 0
     while accepted < count:
         mults = rng.uniform_open((_BATCH, len(ks)))
@@ -402,14 +375,21 @@ def sample_fristedt_batch(n, count, rng, *, max_rejections=10**7, pdc=False):
         index = np.full(_BATCH, -1, dtype=np.int64)
         index[took] = np.arange(accepted, accepted + len(took))
         keep = index[row] >= 0
-        heads.append(head)
-        tails.append((index[row[keep]], part[keep], mult[keep]))
+        at = np.flatnonzero(head)
+        hit, col = np.divmod(at, K)
+        row, part, mult = (np.concatenate(column) for column in zip(
+            (accepted + hit, col + 1, head.ravel()[at]),
+            (index[row[keep]], part[keep], mult[keep])))
+        # in each row the head parts come in order, then the tail parts in
+        # the order of the rounds that drew them: a stable row sort keeps it
+        order = np.argsort(row, kind="stable")
+        triples.append((row[order], part[order], mult[order]))
         accepted += len(took)
         # free this block before the next one is drawn
         del mults, weight, residual, ok
 
-    row, part, mult = (np.concatenate(column) for column in zip(*tails))
-    return PartitionBatch(n, np.concatenate(heads), row, part, mult), attempts
+    row, part, mult = (np.concatenate(column) for column in zip(*triples))
+    return PartitionBatch(n, count, row, part, mult), attempts
 
 
 def sample_uniform_batch(n, count, rng, *, method="exact", max_rejections=10**7):
@@ -441,13 +421,13 @@ def sample_uniform_batch(n, count, rng, *, method="exact", max_rejections=10**7)
 def _estimate(event, n, trials, draws, rng, method, max_rejections, test):
     """Estimate of ``event`` from ``trials`` trials of ``draws`` uniform
     partitions each.  ``test(batch, rows)``, the row-wise boolean test of
-    the trials ``rows``, runs on blocks of at most MC_BLOCK_ELEMENTS // K
-    trials, so its temporaries stay bounded by the block."""
+    the trials ``rows``, runs on blocks of at most MC_BLOCK_ELEMENTS //
+    (floor(sqrt(n)) + 1) trials, so its temporaries stay bounded."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     batch, _ = sample_uniform_batch(n, draws * trials, rng, method=method,
                                     max_rejections=max_rejections)
-    step = max(1, MC_BLOCK_ELEMENTS // max(1, batch.head.shape[1]))
+    step = max(1, MC_BLOCK_ELEMENTS // (math.isqrt(n) + 1))
     hits = sum(int(test(batch, np.arange(lo, min(lo + step, trials))).sum())
                for lo in range(0, trials, step))
     return make_estimate(event, hits, trials, n=n)

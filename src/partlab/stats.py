@@ -34,8 +34,8 @@ Z95 = 1.959963984540054
 MC_BLOCK_ELEMENTS = 4 * 10**6
 
 
-def wilson_interval(hits, trials, z=Z95):
-    """Wilson score interval for a binomial proportion, as (lo, hi).
+def wilson_interval(hits, trials):
+    """95% Wilson score interval for a binomial proportion, as (lo, hi).
 
     Stays sane at observed proportions 0 and 1, where the Wald
     interval collapses.  There the interval's own end is exactly 0 or
@@ -47,11 +47,11 @@ def wilson_interval(hits, trials, z=Z95):
     if not 0 <= hits <= trials:
         raise ValueError("hits must lie in [0, trials]")
     phat = hits / trials
-    z2 = z * z
+    z2 = Z95 * Z95
     denom = 1.0 + z2 / trials
     center = (phat + z2 / (2.0 * trials)) / denom
     half = (
-        z
+        Z95
         * math.sqrt(phat * (1.0 - phat) / trials + z2 / (4.0 * trials * trials))
         / denom
     )

@@ -147,20 +147,40 @@ def floor_power(n, gamma):
     return out
 
 
+def _row_scale(n):
+    """sqrt(n)/c, the scale of the surrogate row map.  Raises ValueError
+    when sqrt(n) overflows a float."""
+    try:
+        return math.sqrt(n) / C_SCALE
+    except OverflowError:
+        raise ValueError(
+            "sqrt(n) overflows a float: n must be below about 1.8e308") from None
+
+
 def _row_values(n, prefix_sums):
     # unclamped: values can go <= 0 on atypical paths and are kept as is
-    scale = math.sqrt(n) / C_SCALE
+    scale = _row_scale(n)
     vals = np.ceil(scale * (math.log(scale) - np.log(prefix_sums)))
     return vals.astype(np.int64)
+
+
+def _half_delta_power(n, delta):
+    """n^(delta/2); raises ValueError when it overflows a float."""
+    try:
+        return n ** (delta / 2.0)
+    except OverflowError:
+        raise ValueError(
+            f"n^(delta/2) overflows a float at delta = {delta!r}") from None
 
 
 def headline_threshold(n, delta, multiplier=5.0):
     """-multiplier * n^(delta/2) * ceil(log^(3/2) n).
 
     The canonical multiplier is 5; it is exposed because it is a
-    proof-shaped constant, not a tuned one.
+    proof-shaped constant, not a tuned one.  Raises ValueError when
+    n^(delta/2) overflows a float.
     """
-    return -multiplier * n ** (delta / 2.0) * math.ceil(math.log(n) ** 1.5)
+    return -multiplier * _half_delta_power(n, delta) * math.ceil(math.log(n) ** 1.5)
 
 
 def log_cube(n):
@@ -279,7 +299,9 @@ def estimate_event(kind, n, gamma, delta, trials, rng, *,
     Paths are drawn path-major in blocks and evaluated step-major (see
     the module docstring), so the result does not depend on the block
     size; each path's verdict is that of the event evaluated exactly on
-    the float64 terms of its own gen_walk path.
+    the float64 terms of its own gen_walk path.  Raises ValueError,
+    before any path is drawn, when sqrt(n) ('eg') or n^(delta/2)
+    ('headline') overflows a float; 'log' never takes n as a float.
     """
     if kind not in ("eg", "log", "headline"):
         raise ValueError(f"unknown event kind {kind!r}")
@@ -290,6 +312,8 @@ def estimate_event(kind, n, gamma, delta, trials, rng, *,
         _require_delta(delta)
     if math.isnan(threshold) or math.isnan(multiplier):
         raise ValueError("threshold and multiplier must not be NaN")
+    if kind == "eg":
+        _row_scale(n)  # refuse an n too large for the row map up front
     if kind == "headline":
         if delta is None:
             raise ValueError("headline event needs delta > 0")
@@ -335,11 +359,13 @@ def check_containment(n, gamma, trials, rng):
     violations, which should be zero.  Paths are those of gen_walk
     called ``trials`` times on ``rng``, drawn in blocks as in
     estimate_event; one pass of log-ratio prefix sums serves both log
-    thresholds.
+    thresholds.  Raises ValueError, before any path is drawn, when
+    sqrt(n) overflows a float.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     length = _walk_length(n, gamma)
+    _row_scale(n)  # refuse an n too large for the row map up front
     eg_hits = log0 = logneg1 = bad01 = 0
     for s, sp in _walk_blocks(length, trials, rng):
         a = _eg_rows(n, s, sp)
@@ -361,7 +387,8 @@ def _ratio_tail_excess(n, delta):
     """Indices j = 1..ceil(log^3 n) and the excess x_j = n^(delta/2)/sqrt(j).
 
     Raises ValueError, before allocating, unless delta is finite and
-    positive and there are 1 to RATIO_TAIL_MAX_INDICES indices (n >= 2).
+    positive, there are 1 to RATIO_TAIL_MAX_INDICES indices (n >= 2)
+    and n^(delta/2) fits a float.
     """
     _require_delta(delta)
     if n < 2:
@@ -373,7 +400,7 @@ def _ratio_tail_excess(n, delta):
             f"{RATIO_TAIL_MAX_INDICES}"
         )
     jj = np.arange(1, count + 1, dtype=np.float64)
-    return jj, n ** (delta / 2.0) / np.sqrt(jj)
+    return jj, _half_delta_power(n, delta) / np.sqrt(jj)
 
 
 def ratio_tail_bound_terms(n, delta):

@@ -406,6 +406,19 @@ def test_non_finite_inputs_are_one_line(runner, args):
     assert res.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("args, quantity", [
+    (["--event", "eg", "--n", str(10**309), "--gamma", "0.002"], "sqrt(n)"),
+    (["--event", "headline", "--n", "10000", "--gamma", "0.2", "--delta", "1e300"],
+     "n^(delta/2)"),
+])
+def test_float_overflow_is_one_line(runner, args, quantity):
+    res = runner.invoke(main, ["surrogate", *args, "--trials", "3", "--seed", "1"])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith(f"error: {quantity} overflows a float")
+    assert res.stderr.count("\n") == 1
+
+
 class TestGaussianCommands:
     def test_cov_small_values(self, runner):
         res = runner.invoke(main, ["gp", "cov", "--m", "1", "--n", "2"])

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import tracemalloc
@@ -240,15 +241,48 @@ class TestPinnedPlainOutput:
         batch, attempts = sampling.sample_fristedt_batch(
             1000, 50, RandomStream(20261019, 3), pdc=False)
         assert attempts == 31836
-        assert batch.head.shape == (50, 74) and len(batch.tail_row) == 53
         digest = hashlib.sha256()
-        for column in (batch.head, batch.tail_row, batch.tail_part, batch.tail_mult):
-            digest.update(column.astype("<i8").tobytes())
+        for lam in batch:
+            digest.update((lam.to_text() + "\n").encode())
         assert digest.hexdigest() == (
-            "b9ec16b8114985e01ccb50d1769d8b80a43701798f42691f4065b142de1663b3")
+            "e3c2190017c4d91b37be251ec9500332375c600cedf111fa8b0bb3e95d402dd9")
+
+
+@functools.lru_cache(maxsize=None)
+def _drawn(method, n):
+    return sampling.sample_uniform_batch(n, 40, RandomStream(39, n), method=method)[0]
+
+
+BATCH_SOURCES = [("exact", 0), ("exact", 1), ("exact", 30), ("fristedt", 1000),
+                 ("fristedt-pdc", 1000)]
 
 
 class TestPartitionBatch:
+    @pytest.mark.parametrize("rows", [slice(None), slice(1, None, 3),
+                                      slice(None, None, -1)])
+    @pytest.mark.parametrize("method, n", BATCH_SOURCES)
+    def test_triples_sorted_positive_and_of_weight_n(self, method, n, rows):
+        # the constructor trusts this order, so every producer must keep it
+        whole = _drawn(method, n)
+        batch, want = whole[rows], list(whole)[rows]
+        assert len(batch) == len(want) == len(range(40)[rows])
+        assert np.all(np.diff(batch.row * (n + 1) + batch.part) > 0)
+        assert np.all((batch.row >= 0) & (batch.row < len(batch)))
+        assert np.all((batch.part >= 1) & (batch.mult >= 1))
+        weight = np.bincount(batch.row, weights=batch.part * batch.mult,
+                             minlength=len(batch))
+        assert weight.tolist() == [n] * len(batch)
+        assert list(batch) == want
+
+    @pytest.mark.parametrize("method, n", BATCH_SOURCES)
+    def test_leading_parts_are_zero_padded(self, method, n):
+        batch = _drawn(method, n)
+        parts = [lam.parts for lam in batch]
+        longest = max(map(len, parts))
+        for count in (1, 10, math.isqrt(n), longest + 3):
+            want = [(p + (0,) * count)[:count] for p in parts]
+            assert batch.leading_parts(count).tolist() == [list(w) for w in want]
+
     def test_graphical_matches_oracles_exhaustively(self):
         for n in range(31):
             parts = list(oracles.enumerate_partitions(n))
@@ -275,7 +309,8 @@ class TestPartitionBatch:
         exact = sum(pi[n - j * p] for p in range(K + 1, n // j + 1)) / pi[n]
         batch, _ = sampling.sample_fristedt_batch(
             n, draws, RandomStream(27, j), pdc=True)
-        per_row = np.bincount(batch.tail_row[batch.tail_mult >= j], minlength=draws)
+        per_row = np.bincount(batch.row[(batch.part > K) & (batch.mult >= j)],
+                              minlength=draws)
         se = per_row.std(ddof=1) / math.sqrt(draws)
         assert abs(per_row.mean() - exact) <= 4 * se
 
@@ -319,13 +354,13 @@ class TestBatchFrontend:
         assert attempts == want_attempts
 
     def test_exact_method_packs_the_unranked_draws(self):
-        # K = 13 < 30, so the packed batch has tail parts too
+        # K = 13 < 30, so the packed batch has parts above K too
         n, count = 30, 60
         batch, attempts = sampling.sample_uniform_batch(n, count, RandomStream(29, 0))
         table, twin = counting.build_table(n), RandomStream(29, 0)
         draws = [oracles.sample_exact_uniform(table, n, twin) for _ in range(count)]
         assert batch == sampling.PartitionBatch.from_partitions(n, draws)
-        assert len(batch.tail_row) > 0
+        assert (batch.part > sampling._head_size(n)).any()
         assert attempts == count
 
     @pytest.mark.parametrize("n, count", [(0, 5), (1, 5), (405, 30), (406, 30),

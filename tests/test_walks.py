@@ -199,6 +199,23 @@ class TestEstimateEvent:
         with pytest.raises(ValueError, match="trials"):
             walks.estimate_event("eg", 100, 0.2, None, 0, rng)
 
+    def test_float_overflow_refused_before_drawing(self):
+        # 'eg' needs sqrt(n) and 'headline' n^(delta/2) as floats; 'log'
+        # never takes n as a float, so it still runs at 10^309
+        huge, rng = 10**309, RandomStream(14, 1)
+        with pytest.raises(ValueError, match=r"sqrt\(n\) overflows a float"):
+            walks.estimate_event("eg", huge, 0.002, None, 10, rng)
+        with pytest.raises(ValueError, match=r"sqrt\(n\) overflows a float"):
+            walks.check_containment(huge, 0.002, 10, rng)
+        for n, delta in ((10**4, 1e300), (huge, 0.01)):
+            with pytest.raises(ValueError, match=r"n\^\(delta/2\) overflows a float"):
+                walks.estimate_event("headline", n, 0.002, delta, 10, rng)
+            with pytest.raises(ValueError, match=r"n\^\(delta/2\) overflows a float"):
+                walks.headline_threshold(n, delta)
+        assert rng.uniform() == RandomStream(14, 1).uniform()
+        est = walks.estimate_event("log", huge, 0.002, None, 10, RandomStream(14, 2))
+        assert est.n == huge and est.trials == 10
+
     def test_matches_per_path_functions(self):
         # lengths 5, 1 and 2 fill step-major blocks; 758 steps in 100
         # paths keep the path-major memory of the draw.  The hits at
@@ -563,6 +580,16 @@ class TestConcentrationChecks:
                 fn(100, delta, w)
         with pytest.raises(ValueError, match="finite and positive"):
             walks.estimate_event("eg", 1000, 0.2, delta, 10, RandomStream(23, 2))
+
+    def test_ratio_tail_refuses_an_overflowing_excess(self):
+        rng = RandomStream(23, 6)
+        for fn in (walks.ratio_tail_bound, walks.ratio_tail_bound_terms,
+                   walks.ratio_tail_exact, walks.ratio_tail_exact_terms):
+            with pytest.raises(ValueError, match=r"n\^\(delta/2\) overflows a float"):
+                fn(10**4, 1e300)
+        with pytest.raises(ValueError, match=r"n\^\(delta/2\) overflows a float"):
+            walks.ratio_tail_diagnostic(10**4, 1e300, 10, rng)
+        assert rng.uniform() == RandomStream(23, 6).uniform()
 
     def test_ratio_tail_deterministic(self):
         a = walks.ratio_tail_diagnostic(100, 0.1, 2000, RandomStream(22, 0))
