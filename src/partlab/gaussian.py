@@ -16,7 +16,10 @@ Both samplers are batch-first: they return a (paths, n) array of Z,
 one path per row, from a (paths, n) block of standard normals drawn
 row after row.  A block of rows is the same variates in the same
 order as its paths drawn one by one, so persistence_prob, which draws
-one block of rows at a time, does not depend on the block size.
+one block of rows at a time (at most PATH_BLOCK_ELEMENTS variates, or
+one path), does not depend on the block size.  It draws on the
+caller's thread: the ziggurat normals take a variable number of words,
+so the start of a later block cannot be sought as walks does.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stats import MC_BLOCK_ELEMENTS, kahan_cumsum, make_estimate
+from .stats import MC_BLOCK_ELEMENTS, PATH_BLOCK_ELEMENTS, make_estimate
 
 __all__ = [
     "CHOLESKY_CAP",
@@ -50,8 +53,9 @@ __all__ = [
 #: Largest N for which the dense covariance factorization is offered.
 CHOLESKY_CAP = 2000
 #: Largest process index: one path of Z_1..Z_n fills at most one Monte
-#: Carlo block.  At this index harmonic takes 0.44 s and harmonic_prefix
-#: 1.5 s (2-core x86-64, Python 3.11).
+#: Carlo block.  At this index harmonic takes 0.41-0.44 s and
+#: harmonic_prefix 0.16 s after a first call of 0.31 s (2-core x86-64,
+#: Python 3.11, numpy 2.4).
 _MAX_INDEX = MC_BLOCK_ELEMENTS
 
 
@@ -72,11 +76,24 @@ def harmonic(k):
 
 
 def harmonic_prefix(n):
-    """Array of H_1..H_n, accumulated with compensated summation."""
+    """Array of H_1..H_n, each within (2^-53 + g_(k-1)^2) H_k of the sum
+    of the float terms 1/j, where g_m = m 2^-53 / (1 - m 2^-53).
+
+    That is the bound of Sum2 (Ogita, Rump and Oishi, SIAM J. Sci.
+    Comput. 26 (2005), Prop. 4.5), applied to every prefix: the float
+    prefix sums, plus the prefix sums of the exact rounding error of
+    each addition (Knuth's TwoSum).  At k = 4*10^6 the second term is
+    below 2^-61 H_k, so each H_k is within about one ulp.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     _require_index(n)
-    return kahan_cumsum(1.0 / np.arange(1.0, n + 1.0))
+    x = 1.0 / np.arange(1.0, n + 1.0)
+    s = np.cumsum(x)
+    prev = np.concatenate(([0.0], s[:-1]))
+    kept = s - prev
+    err = (prev - (s - kept)) + (x - kept)  # s + err == prev + x exactly
+    return s + np.cumsum(err)
 
 
 def gp_cov(m, n):
@@ -150,7 +167,7 @@ def persistence_prob(n, alpha, trials, rng):
     if trials < 1:
         raise ValueError("trials must be >= 1")
     cut = float(n) ** alpha
-    cap = max(1, MC_BLOCK_ELEMENTS // n)
+    cap = max(1, PATH_BLOCK_ELEMENTS // n)
     hits = 0
     for done in range(0, trials, cap):
         z = sample_gp_incremental(n, min(cap, trials - done), rng)

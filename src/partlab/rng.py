@@ -4,7 +4,9 @@ Built on the Philox counter-based bit generator keyed by
 (seed, stream_id), so any trial index can own an independent stream
 while staying bit-reproducible across runs and platforms.  A stream is
 single-owner mutable state; hand each worker its own substream instead
-of sharing one.
+of sharing one.  Philox is counter-based (Salmon et al., SC 2011), so
+a stream can be moved to any word of its sequence in O(1): seek and
+position let threads draw consecutive stretches of one stream at once.
 """
 
 from __future__ import annotations
@@ -37,21 +39,55 @@ class RandomStream:
         """Fresh independent stream with the same seed and a new id."""
         return RandomStream(self.seed, stream_id)
 
+    @property
+    def position(self):
+        """64-bit words drawn from the stream so far.
+
+        Generator.random takes one word per double, so after k uniforms
+        (and no other draws) the position is k.  Philox makes 4 words per
+        counter step and buffers them: counter c with buffer_pos b means
+        4(c - 1) + b words are gone.
+        """
+        state = self._gen.bit_generator.state
+        steps = sum(int(c) << 64 * i for i, c in enumerate(state["state"]["counter"]))
+        return 4 * steps + state["buffer_pos"] - 4
+
+    def seek(self, position):
+        """Move the stream to word ``position`` of its sequence, so that
+        the next double drawn is the one that follows the first
+        ``position`` words; the half word integers() keeps is unchanged.
+
+        The counter is set to the last full step before the word, with
+        an empty buffer, and the remaining position % 4 words of the
+        next step are drawn and discarded.
+        """
+        if position < 0:
+            raise ValueError("position must be >= 0")
+        bitgen = self._gen.bit_generator
+        state = bitgen.state
+        steps, extra = divmod(position, 4)
+        state["state"]["counter"] = np.array(
+            [(steps >> 64 * i) & _MASK64 for i in range(4)], dtype=np.uint64)
+        state["buffer_pos"] = 4
+        bitgen.state = state
+        bitgen.random_raw(extra)
+
     def uniform(self, size=None):
         """Uniform variates on [0, 1)."""
         return self._gen.random(size)
 
     def uniform_open(self, size=None):
-        """Uniform variates on the open interval (0, 1); zeros are redrawn."""
+        """Uniform variates on the open interval (0, 1); zeros are redrawn
+        in order, each from the words after the whole draw."""
         if size is None:
-            u = self._gen.random()
+            u = self.uniform()
             while u == 0.0:
-                u = self._gen.random()
+                u = self.uniform()
             return u
-        u = self._gen.random(size)
+        u = self.uniform(size)
         mask = u == 0.0
         while mask.any():
-            u[mask] = self._gen.random(int(mask.sum()))
+            u[mask] = self.uniform(int(mask.sum()))
             mask = u == 0.0
         return u
 

@@ -13,6 +13,7 @@ __all__ = [
     "Z95",
     "EventEstimate",
     "MC_BLOCK_ELEMENTS",
+    "PATH_BLOCK_ELEMENTS",
     "kahan_cumsum",
     "kahan_cumsum_rows",
     "kahan_sum",
@@ -28,10 +29,15 @@ C_SCALE = math.pi / math.sqrt(6.0)
 #: Two-sided 95% standard normal quantile.
 Z95 = 1.959963984540054
 
-#: Most float64 variates a Monte Carlo estimator draws in one block
-#: (32 MB); the walk and Gaussian-process estimators size their blocks
-#: of paths by it.
+#: Most float64 variates a Monte Carlo estimator over partitions draws
+#: in one block (32 MB); it also sets the longest Gaussian-process path.
 MC_BLOCK_ELEMENTS = 4 * 10**6
+
+#: Most float64 variates in one block of walk or Gaussian-process paths
+#: (2 MB, which one core's L2 cache holds), unless a single path is
+#: longer: the block's temporaries then stay in cache, and two blocks in
+#: flight with theirs take about 10 MB.
+PATH_BLOCK_ELEMENTS = 2**18
 
 
 def wilson_interval(hits, trials):

@@ -17,23 +17,36 @@ Every estimator here (estimate_event, check_containment,
 ratio_tail_diagnostic) draws its paths path-major and evaluates them
 step-major.  Each path takes 2m consecutive exponentials from the
 stream, X_1..X_m and then X'_1..X'_m, the order gen_walk uses.  Memory
-is bounded by drawing a block of paths at a time, and a block is the
-same variates in the same order as its paths drawn one by one, so these
-estimates depend on the seed and stream only, not on the block size.
-A block is evaluated as (steps, paths) arrays whose column p is path p:
-each step is one vector operation across the block's paths, and each
-per-path reduction is an elementwise minimum or sum across steps, with
-the additions of a path evaluated on its own, in their order; each
-prefix-sum verdict is exact for the stored float64 terms.
-(RandomStream.uniform_open redraws an exact 0.0 at the end of each
-rng.exponential call, a sub-draw of at most _SUBDRAW_ELEMENTS variates
-within a block; that has probability 2^-53 per variate.)
+is bounded by drawing a cache-sized block of paths at a time, and a
+block is the same variates in the same order as its paths drawn one by
+one, so these estimates depend on the seed and stream only, not on the
+block size.  A block is evaluated as (steps, paths) arrays whose column
+p is path p: each step is one vector operation across the block's
+paths, and each per-path reduction is an elementwise minimum or sum
+across steps, with the additions of a path evaluated on its own, in
+their order; each prefix-sum verdict is exact for the stored float64
+terms.
+
+Where two cores are available, two blocks are drawn and evaluated at
+once on threads, each from its own copy of the stream sought to the
+block's first word, and their tallies are added in block order; the
+stream is then left where drawing every block in turn would leave it.
+So the estimates and the stream's later draws do not depend on the
+worker count either.  (RandomStream.uniform_open redraws an exact 0.0
+after each rng.exponential call, a sub-draw of at most
+_SUBDRAW_ELEMENTS variates within a block, with probability 2^-53 per
+variate; the redraw shifts every later block, which are then drawn in
+turn on the caller's stream.)
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
+import os
+import threading
+from concurrent import futures
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,7 +55,7 @@ from scipy.special import betainc
 
 from .stats import (
     C_SCALE,
-    MC_BLOCK_ELEMENTS,
+    PATH_BLOCK_ELEMENTS,
     Z95,
     make_estimate,
 )
@@ -66,13 +79,22 @@ __all__ = [
     "ratio_tail_exact_terms",
 ]
 
-#: Most paths drawn in one block by the estimators.
+#: Most paths in one block; it bounds the blocks of short paths (4096
+#: paths of 9 steps are 73,728 variates).  At 9 steps and 2*10^5 paths
+#: on two threads (2-core x86-64), blocks of 1024 paths took 1.8 times
+#: as long, for the Python work per block, and blocks of
+#: PATH_BLOCK_ELEMENTS (14,563 paths) 1.2 times.
 _CHUNK = 4096
-#: Most variates in one rng.exponential call filling a step-major block:
-#: 1 MB, which a 2 MB L2 cache holds while the call is transposed into
-#: the block; at 758 steps that is 86 paths, whose 86-long contiguous
-#: runs the transpose writes.
+#: Most variates in one rng.exponential call filling a step-major block
+#: (a block with at least as many paths as steps, so at most 362 steps):
+#: 1 MB, which the cache holds while the call is transposed into the
+#: block; a block of PATH_BLOCK_ELEMENTS takes two such calls.
 _SUBDRAW_ELEMENTS = 2**17
+#: Threads that draw and evaluate walk blocks at once: two where this
+#: process may run on two cores, else one (every block on the caller's
+#: thread).  numpy's fills and ufuncs release the interpreter lock.
+_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
 #: Most indices j <= ceil(log^3 n) the ratio-tail functions will hold in
 #: memory: 8 MB per float64 array, against 782 indices at n = 10^4.
 RATIO_TAIL_MAX_INDICES = 10**6
@@ -210,13 +232,99 @@ def _walk_length(n, gamma):
     return length
 
 
-def _walk_blocks(length, trials, rng):
-    """Prefix sums S, S' of ``trials`` paths, one block of paths at a time.
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _executor():
+    """The walk blocks' thread pool, made on first use and then kept.
+
+    A new thread starts on its parent's core, and Linux was seen to take
+    about half a second of load to move one, so a pool made per call
+    would run both blocks on one core.
+    """
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = futures.ThreadPoolExecutor(_WORKERS, thread_name_prefix="partlab-walks")
+        return _pool
+
+
+def _forget_pool():
+    # a forked child has none of its parent's threads, one of which may
+    # have held the lock
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _walk_blocks(length, trials, rng, evaluate):
+    """evaluate(s, sp) on the prefix sums S, S' of ``trials`` paths, one
+    block of paths at a time; yields the results in block order.
 
     Variates are drawn path-major: each path takes 2*length consecutive
     exponentials, X then X' (the order of gen_walk), and a block holds
-    at most MC_BLOCK_ELEMENTS of them, so the paths do not depend on the
-    block size.  They are evaluated step-major: yields (s, sp), two
+    at most PATH_BLOCK_ELEMENTS of them (one path if a path is longer),
+    so the paths do not depend on the block size.  With _WORKERS > 1
+    the blocks are drawn and evaluated on threads (_threaded_blocks),
+    which changes neither the paths nor the order of the results.
+    """
+    cap = max(1, min(_CHUNK, PATH_BLOCK_ELEMENTS // (2 * length)))
+    sizes = [min(cap, trials - done) for done in range(0, trials, cap)]
+    done = 0
+    if _WORKERS > 1 and len(sizes) > 1:
+        done = yield from _threaded_blocks(length, sizes, rng, evaluate)
+    for paths in sizes[done:]:
+        yield evaluate(*_draw_block(length, paths, rng))
+
+
+def _threaded_blocks(length, sizes, rng, evaluate):
+    """Yield evaluate(s, sp) for blocks of ``sizes`` paths drawn and
+    evaluated on _WORKERS threads, at most _WORKERS blocks in flight,
+    in block order; return how many were yielded, with ``rng`` moved to
+    just after their words.
+
+    Block i draws from its own copy of the stream, sought to the word
+    where serial drawing would start it: the words of the blocks before
+    it, 2*length per path.  A block whose draw took more words than
+    that (uniform_open redrew an exact 0.0, probability 2^-53 per
+    variate) is still its serial draw, but every later block would
+    start at the wrong word; those are left to the serial loop.
+    """
+    starts = list(itertools.accumulate((2 * length * p for p in sizes),
+                                       initial=rng.position))
+
+    def run(i):
+        stream = rng.substream(rng.stream_id)
+        stream.seek(starts[i])
+        out = evaluate(*_draw_block(length, sizes[i], stream))
+        return out, stream.position
+
+    pool = _executor()
+    flight = collections.deque(
+        pool.submit(run, i) for i in range(min(_WORKERS, len(sizes))))
+    try:
+        for i in range(len(sizes)):
+            out, end = flight.popleft().result()
+            yield out
+            if end != starts[i + 1]:
+                rng.seek(end)
+                return i + 1
+            if i + _WORKERS < len(sizes):
+                flight.append(pool.submit(run, i + _WORKERS))
+    finally:
+        for future in flight:
+            future.cancel()
+        futures.wait(flight)
+    rng.seek(starts[-1])
+    return len(sizes)
+
+
+def _draw_block(length, paths, rng):
+    """Prefix sums S, S' of the next ``paths`` paths on ``rng``, as two
     (length, paths) views of one block whose column p is path p.
 
     A block with at least as many paths as steps is drawn in path-major
@@ -226,22 +334,17 @@ def _walk_blocks(length, trials, rng):
     keeps the path-major memory of one draw and is only viewed step-major.
     Either way the prefix sums add the same terms in the same order.
     """
-    cap = max(1, min(_CHUNK, MC_BLOCK_ELEMENTS // (2 * length)))
-    per_draw = max(1, _SUBDRAW_ELEMENTS // (2 * length))
-    done = 0
-    while done < trials:
-        paths = min(cap, trials - done)
-        if paths < length:
-            walk = rng.exponential((paths, 2 * length)).reshape(paths, 2, length).T
-        else:
-            walk = np.empty((length, 2, paths))
-            for p in range(0, paths, per_draw):
-                k = min(per_draw, paths - p)
-                sub = rng.exponential((k, 2 * length)).reshape(k, 2, length)
-                walk[:, :, p:p + k] = sub.T
-        _cumsum_steps(walk)
-        yield walk[:, 0], walk[:, 1]
-        done += paths
+    if paths < length:
+        walk = rng.exponential((paths, 2 * length)).reshape(paths, 2, length).T
+    else:
+        per_draw = max(1, _SUBDRAW_ELEMENTS // (2 * length))
+        walk = np.empty((length, 2, paths))
+        for p in range(0, paths, per_draw):
+            k = min(per_draw, paths - p)
+            sub = rng.exponential((k, 2 * length)).reshape(k, 2, length)
+            walk[:, :, p:p + k] = sub.T
+    _cumsum_steps(walk)
+    return walk[:, 0], walk[:, 1]
 
 
 def _cumsum_steps(a):
@@ -320,15 +423,16 @@ def estimate_event(kind, n, gamma, delta, trials, rng, *,
         cut = headline_threshold(n, delta, multiplier)
         jj = np.arange(1, length + 1, dtype=np.float64)[:, None]
 
-    hits = 0
-    for s, sp in _walk_blocks(length, trials, rng):
+    def hits(s, sp):
         if kind == "eg":
             ok = _eg_rows(n, s, sp)
         elif kind == "log":
             ok, = _prefix_min_at_least(np.log(sp) - np.log(s), threshold)
         else:
             ok, = _prefix_min_at_least((sp - s) / jj, cut)
-        hits += int(np.count_nonzero(ok))
+        return int(np.count_nonzero(ok))
+
+    hits = sum(_walk_blocks(length, trials, rng, hits))
     return make_estimate(kind, hits, trials, n=n, gamma=gamma, delta=delta)
 
 
@@ -366,14 +470,14 @@ def check_containment(n, gamma, trials, rng):
         raise ValueError("trials must be >= 1")
     length = _walk_length(n, gamma)
     _row_scale(n)  # refuse an n too large for the row map up front
-    eg_hits = log0 = logneg1 = bad01 = 0
-    for s, sp in _walk_blocks(length, trials, rng):
+
+    def tallies(s, sp):
         a = _eg_rows(n, s, sp)
         b, c = _prefix_min_at_least(np.log(sp) - np.log(s), 0.0, -1.0)
-        eg_hits += int(np.count_nonzero(a))
-        log0 += int(np.count_nonzero(b))
-        logneg1 += int(np.count_nonzero(c))
-        bad01 += int(np.count_nonzero(a & ~b))
+        return [int(np.count_nonzero(v)) for v in (a, b, c, a & ~b)]
+
+    eg_hits, log0, logneg1, bad01 = map(
+        sum, zip(*_walk_blocks(length, trials, rng, tallies)))
     return ContainmentReport(
         trials=trials,
         eg_hits=eg_hits,
@@ -491,15 +595,19 @@ def ratio_tail_diagnostic(n, delta, trials, rng):
     _, x = _ratio_tail_excess(n, delta)
     count = len(x)
     cuts = (1.0 + x)[:, None]
+
+    def exceedances(s, sp):
+        exceed = sp / s >= cuts
+        per_path = exceed.sum(axis=0).astype(np.float64)
+        return exceed.sum(axis=1), float(per_path.sum()), float((per_path**2).sum())
+
     hits_per_j = np.zeros(count, dtype=np.int64)
     path_sum = 0.0
     path_sumsq = 0.0
-    for s, sp in _walk_blocks(count, trials, rng):
-        exceed = sp / s >= cuts
-        hits_per_j += exceed.sum(axis=1)
-        per_path = exceed.sum(axis=0).astype(np.float64)
-        path_sum += float(per_path.sum())
-        path_sumsq += float((per_path**2).sum())
+    for per_j, total, sumsq in _walk_blocks(count, trials, rng, exceedances):
+        hits_per_j += per_j
+        path_sum += total
+        path_sumsq += sumsq
     per_j = hits_per_j / trials
     total = float(path_sum / trials)
     var = max(path_sumsq / trials - total**2, 0.0)

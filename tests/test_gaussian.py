@@ -38,6 +38,16 @@ class TestIndexLimit:
     def test_limit_is_one_block(self):
         assert self.LIMIT == gaussian.MC_BLOCK_ELEMENTS
 
+    def test_prefix_within_stated_bound_up_to_limit(self):
+        # harmonic_prefix's docstring: within (2^-53 + g_(k-1)^2) H_k of the
+        # sum of the float terms, and fsum rounds that sum once more
+        pref = gaussian.harmonic_prefix(self.LIMIT)
+        terms = (1.0 / np.arange(1.0, self.LIMIT + 1.0)).tolist()
+        for k in (1, 2, 3, 10, 1000, 2000, 10**5, 1234567, self.LIMIT):
+            exact = math.fsum(terms[:k])
+            g = (k - 1) * 2.0**-53 / (1 - (k - 1) * 2.0**-53)
+            assert abs(pref[k - 1] - exact) <= (2.0**-52 + g * g) * exact
+
     def test_harmonic_at_limit(self):
         k = self.LIMIT
         approx = math.log(k) + 0.5772156649015329 + 1.0 / (2 * k)

@@ -95,6 +95,73 @@ class TestRandomStream:
         assert vals == [rerun.integer_below(bound) for _ in range(200)]
 
 
+class TestPhiloxKnownAnswers:
+    """The words and transforms the walk estimators' seek relies on, pinned
+    on numpy 2.4, so that a numpy change to any of them fails here."""
+
+    WORDS = [0xC0C4AD75F88248D6, 0x3345459EC2F5F741, 0x638819D3CAA47BFC,
+             0x8E0351D9D4188C0F, 0x7797117409518164, 0xA029B379E5651510]
+
+    def _bitgen(self):
+        return RandomStream(20261019, 3)._gen.bit_generator
+
+    def test_raw_words(self):
+        assert self._bitgen().random_raw(6).tolist() == self.WORDS
+
+    def test_random_is_one_word_per_double(self):
+        got = RandomStream(20261019, 3).uniform(3).tolist()
+        assert got == [0.753001061726999, 0.20027575613035942, 0.38879548474018744]
+        assert got == [(w >> 11) * 2.0**-53 for w in self.WORDS[:3]]
+
+    def test_standard_normal(self):
+        assert RandomStream(20261019, 3).standard_normal(3).tolist() == [
+            0.05425048322586578, -0.664559474720452, -0.35587660739291715]
+
+    def test_uint32_takes_the_low_then_the_high_half_of_a_word(self):
+        got = RandomStream(20261019, 3)._gen.integers(0, 2**32, size=4, dtype=np.uint32)
+        assert got.tolist() == [4169287894, 3234114933, 3270899521, 860177822]
+        assert got.tolist() == [h for w in self.WORDS[:2]
+                                for h in (w & 0xFFFFFFFF, w >> 32)]
+
+    def test_advance_one_skips_four_words(self):
+        bitgen = self._bitgen()
+        bitgen.advance(1)
+        assert bitgen.random_raw(2).tolist() == self.WORDS[4:6]
+
+
+class TestSeek:
+    @pytest.mark.parametrize("drawn", [0, 1, 3, 4, 5, 11])
+    @pytest.mark.parametrize("ahead", [0, 1, 2, 4, 7, 4001])
+    def test_seek_matches_drawing(self, drawn, ahead):
+        walked, sought = RandomStream(8, 1), RandomStream(8, 1)
+        walked.uniform(drawn)
+        sought.uniform(drawn)
+        assert walked.position == sought.position == drawn
+        walked.uniform(ahead)
+        sought.seek(drawn + ahead)
+        assert sought.position == drawn + ahead
+        assert np.array_equal(sought.uniform(9), walked.uniform(9))
+
+    def test_seek_backwards_and_far(self):
+        rng = RandomStream(8, 1)
+        first = rng.uniform(6)
+        rng.seek(2)
+        assert np.array_equal(rng.uniform(4), first[2:])
+        rng.seek(2**70 + 3)
+        assert rng.position == 2**70 + 3
+        with pytest.raises(ValueError):
+            rng.seek(-1)
+
+    def test_seek_keeps_the_half_word_of_uint32_draws(self):
+        walked, sought = RandomStream(8, 2), RandomStream(8, 2)
+        for rng in (walked, sought):
+            rng.integers_below(2**32, 1)
+        walked.uniform(10)
+        sought.seek(sought.position + 10)
+        assert walked.integers_below(2**32, 3).tolist() == sought.integers_below(
+            2**32, 3).tolist()
+
+
 def _integer_below_by_bytes(stream, bound):
     # the byte-wise rejection draw integers_below reproduces: the fewest
     # bytes that hold bound-1, little-endian, masked to its bit width

@@ -1,6 +1,9 @@
 import dataclasses
 import itertools
 import math
+import multiprocessing
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 from functools import partial
@@ -11,7 +14,7 @@ import pytest
 import oracles
 from partlab import gaussian, selfcheck, walks
 from partlab.rng import RandomStream
-from partlab.stats import C_SCALE, MC_BLOCK_ELEMENTS, Z95, kahan_cumsum
+from partlab.stats import C_SCALE, MC_BLOCK_ELEMENTS, PATH_BLOCK_ELEMENTS, Z95, kahan_cumsum
 from partlab.walks import WalkPath
 
 
@@ -260,19 +263,25 @@ class TestEstimateEvent:
         b = walks.estimate_event("eg", 500, 0.2, None, 300, RandomStream(16, 0))
         assert a == b
 
-    def test_long_paths_stay_within_the_block_budget(self):
+    def test_long_paths_stay_within_the_block_budget(self, monkeypatch):
         n, gamma = 10**25, 0.2
         assert walks.floor_power(n, gamma) == walks.WALK_MAX_LENGTH
         runs = [
             # 10^5 steps per path: 100 paths drawn at once would take
-            # 160 MB per array; blocks of 20 paths keep each at 32 MB
+            # 160 MB per array; a block is one path of 1.6 MB
             partial(walks.estimate_event, "eg", n, gamma, None, 100, RandomStream(16, 1)),
-            # many short paths fill step-major buffers; the ratio tail's
-            # 782 steps make its blocks the largest, 2557 paths in 32 MB
+            # many short paths fill step-major buffers; at 758 and 782
+            # steps a block is 172 and 167 paths, just under 2 MB
             *(partial(walks.estimate_event, kind, 10**4, 0.24, 0.0066, 2 * 10**5,
                       RandomStream(16, 2)) for kind in ("eg", "log", "headline")),
+            partial(walks.estimate_event, "log", 10**12, 0.24, None, 2000, RandomStream(16, 2)),
             partial(walks.ratio_tail_diagnostic, 10**4, 0.0066, 3000, RandomStream(16, 3)),
+            # Gaussian-process blocks of 163 paths of 1600 steps
+            partial(gaussian.persistence_prob, 1600, 0.0, 2500, RandomStream(16, 4)),
         ]
+        # two blocks in flight, each with its evaluation's temporaries:
+        # at most about 4 blocks' bytes were seen (log at n = 10^12)
+        monkeypatch.setattr(walks, "_WORKERS", 2)
         peaks = []
         tracemalloc.start()
         try:
@@ -282,7 +291,7 @@ class TestEstimateEvent:
                 peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert max(peaks) < 4 * 8 * walks.MC_BLOCK_ELEMENTS
+        assert max(peaks) < 5 * 8 * PATH_BLOCK_ELEMENTS
 
 
 def test_oracles_do_not_use_the_block_kernel(monkeypatch):
@@ -458,22 +467,35 @@ def _walk_results(n, gamma, trials):
     return report, hits
 
 
-#: (paths per block, variates per block, variates per sub-draw): blocks
-#: of 7 paths hold fewer paths than the 9 or 758 steps and keep the
-#: path-major layout; sub-draws of 50 variates take one or two paths.
+#: (paths per block, variates per block, variates per sub-draw): the
+#: first is the default and the second 16 times as large (32 MB);
+#: blocks of 7 paths hold fewer paths than the 9 or 758 steps and keep
+#: the path-major layout; sub-draws of 50 variates take one or two paths.
 _BLOCK_SIZES = [
+    (4096, PATH_BLOCK_ELEMENTS, walks._SUBDRAW_ELEMENTS),
     (4096, MC_BLOCK_ELEMENTS, walks._SUBDRAW_ELEMENTS),
-    (1000, MC_BLOCK_ELEMENTS, 50),
-    (7, MC_BLOCK_ELEMENTS, walks._SUBDRAW_ELEMENTS),
+    (1000, PATH_BLOCK_ELEMENTS, 50),
+    (7, PATH_BLOCK_ELEMENTS, walks._SUBDRAW_ELEMENTS),
     (4096, 10**4, walks._SUBDRAW_ELEMENTS),
 ]
 
 
 def _set_block_size(monkeypatch, chunk, budget, subdraw):
     monkeypatch.setattr(walks, "_CHUNK", chunk)
-    monkeypatch.setattr(walks, "MC_BLOCK_ELEMENTS", budget)
+    monkeypatch.setattr(walks, "PATH_BLOCK_ELEMENTS", budget)
     monkeypatch.setattr(walks, "_SUBDRAW_ELEMENTS", subdraw)
-    monkeypatch.setattr(gaussian, "MC_BLOCK_ELEMENTS", budget)
+    monkeypatch.setattr(gaussian, "PATH_BLOCK_ELEMENTS", budget)
+
+
+def _results_by_size_and_workers(monkeypatch, run):
+    """run() at every block size, on one thread and on two."""
+    results = []
+    for workers in (1, 2):
+        monkeypatch.setattr(walks, "_WORKERS", workers)
+        for sizes in _BLOCK_SIZES:
+            _set_block_size(monkeypatch, *sizes)
+            results.append(run())
+    return results
 
 
 @pytest.mark.parametrize("n, gamma, trials", [
@@ -481,10 +503,8 @@ def _set_block_size(monkeypatch, chunk, budget, subdraw):
     (2, 0.1, 3000), (20, 0.24, 3000), (10**4, 0.24, 3000),
 ])
 def test_walk_estimators_do_not_depend_on_block_size(monkeypatch, n, gamma, trials):
-    results = []
-    for sizes in _BLOCK_SIZES:
-        _set_block_size(monkeypatch, *sizes)
-        results.append(_walk_results(n, gamma, trials))
+    results = _results_by_size_and_workers(
+        monkeypatch, partial(_walk_results, n, gamma, trials))
     assert all(r == results[0] for r in results[1:])
 
 
@@ -499,11 +519,124 @@ def _persistence_result():
 
 @pytest.mark.parametrize("run", [_ratio_tail_result, _persistence_result])
 def test_path_estimators_do_not_depend_on_block_size(monkeypatch, run):
-    results = []
-    for sizes in _BLOCK_SIZES:
-        _set_block_size(monkeypatch, *sizes)
-        results.append(run())
+    results = _results_by_size_and_workers(monkeypatch, run)
     assert all(r == results[0] for r in results[1:])
+
+
+#: Each estimator on a fresh stream, with enough paths for several blocks.
+_ESTIMATORS = {
+    "eg": lambda rng: walks.estimate_event("eg", 10**4, 0.24, None, 20000, rng),
+    "log": lambda rng: walks.estimate_event("log", 10**12, 0.24, None, 600, rng),
+    "headline": lambda rng: walks.estimate_event("headline", 10**4, 0.24, 0.0066,
+                                                 20000, rng, multiplier=0.1),
+    "containment": lambda rng: walks.check_containment(10**4, 0.24, 20000, rng),
+    "ratio-tail": lambda rng: walks.ratio_tail_diagnostic(
+        100, 0.1, 3000, rng).per_j.tolist(),
+    "persistence": lambda rng: gaussian.persistence_prob(1600, 0.0, 500, rng),
+}
+
+
+@pytest.mark.parametrize("name", list(_ESTIMATORS))
+def test_stream_after_an_estimator_does_not_depend_on_workers(monkeypatch, name):
+    # a draw taken after the estimator is the one after drawing every
+    # block in turn; walk paths take two words (doubles) per step
+    after = []
+    for workers in (1, 2):
+        monkeypatch.setattr(walks, "_WORKERS", workers)
+        rng = RandomStream(20261019, 4)
+        rng.integers_below(2**32, 1)  # leaves a half word, which must survive
+        start = rng.position
+        result = _ESTIMATORS[name](rng)
+        after.append((result, rng.position - start, rng.integers_below(2**40, 3).tolist(),
+                      rng.uniform(3).tolist()))
+    assert after[0] == after[1]
+    words = {"eg": 2 * 9 * 20000, "log": 2 * 758 * 600, "headline": 2 * 9 * 20000,
+             "containment": 2 * 9 * 20000, "ratio-tail": 2 * walks.log_cube(100) * 3000}
+    if name in words:
+        assert after[0][1] == words[name]
+
+
+def test_concurrent_callers_share_the_pool(monkeypatch):
+    # more calling threads than cores, switching often, each on its own
+    # stream: every result must equal that stream's serial result
+    monkeypatch.setattr(walks, "_WORKERS", 1)
+    want = [walks.estimate_event("log", 10**12, 0.24, None, 700, RandomStream(s, 0)).hits
+            for s in range(6)]
+    monkeypatch.setattr(walks, "_WORKERS", 2)
+    got = {}
+
+    def call(seed):
+        got[seed] = walks.estimate_event("log", 10**12, 0.24, None, 700,
+                                         RandomStream(seed, 0)).hits
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=call, args=(s,)) for s in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert [got.get(s) for s in range(6)] == want
+
+
+def _estimate_in_child(queue):
+    rng = RandomStream(20261019, 6)
+    queue.put(walks.estimate_event("eg", 10**4, 0.24, None, 20000, rng).hits)
+
+
+def test_forked_child_makes_its_own_pool(monkeypatch):
+    monkeypatch.setattr(walks, "_WORKERS", 2)
+    want = walks.estimate_event("eg", 10**4, 0.24, None, 20000, RandomStream(20261019, 6)).hits
+    assert walks._pool is not None
+    context = multiprocessing.get_context("fork")
+    queue = context.Queue()
+    child = context.Process(target=_estimate_in_child, args=(queue,))
+    child.start()
+    try:
+        got = queue.get(timeout=60)
+    finally:
+        child.join(timeout=10)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert got == want
+
+
+def _zero_at(monkeypatch, word):
+    """Make the double drawn from word ``word`` of every stream an exact 0.0."""
+    draw = RandomStream.uniform
+
+    def uniform(self, size=None):
+        start = self.position
+        u = draw(self, size)
+        if size is not None and start <= word < start + u.size:
+            u.flat[word - start] = 0.0
+        return u
+
+    monkeypatch.setattr(RandomStream, "uniform", uniform)
+
+
+@pytest.mark.parametrize("name", ["eg", "log", "containment", "ratio-tail"])
+def test_redrawn_zero_gives_the_serial_answer(monkeypatch, name):
+    # a zero in the second block (the first at 758 steps) is redrawn after
+    # its sub-draw, which moves every later block by one word; the
+    # threaded estimators must notice and draw the rest in turn
+    run = _ESTIMATORS[name]
+    serial = RandomStream(20261019, 5)
+    monkeypatch.setattr(walks, "_WORKERS", 1)
+    run(serial)
+    _zero_at(monkeypatch, 3 * 10**5 if name == "ratio-tail" else 2 * 9 * 4096 + 7)
+    results = []
+    for workers in (1, 2):
+        monkeypatch.setattr(walks, "_WORKERS", workers)
+        rng = RandomStream(20261019, 5)
+        results.append((run(rng), rng.position, rng.uniform(2).tolist()))
+    assert results[0] == results[1]
+    assert results[0][1] == serial.position + 1
 
 
 def test_walk_estimators_reject_long_paths_before_allocating():
