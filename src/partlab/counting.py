@@ -7,15 +7,17 @@ unranking in reverse-lexicographic order, a whole batch of indices at
 once (which in turn powers exact uniform sampling).  An
 independently implemented pentagonal-number recurrence cross-checks
 the table.  Graphical partitions are counted without listing them, by
-a dynamic program over the Durfee-square decomposition; dominance-
+a numpy frontier over the Durfee-square decomposition: the states of
+every Durfee size advance one level at a time, their children expanded
+in chunks of bounded size and equal states merged by a sort; dominance-
 comparable pairs by a pair DP that chooses the parts of both partitions
 in step.  Probabilities are exact rationals throughout.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -206,54 +208,145 @@ def rank(table, lam):
                                    mult)[0])
 
 
-def _durfee_graphical_count(d, weight):
-    """Graphical partitions of an even n = d^2 + weight with Durfee size d.
+def _ragged(sizes):
+    """Position of every element within its row, for rows of ``sizes``
+    laid end to end; np.repeat(values, sizes) spreads a per-row value
+    over the same elements."""
+    return np.arange(int(sizes.sum())) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+
+
+def _runs(sizes, step):
+    """Consecutive (i, j) slices of ``sizes``, each summing to at most
+    ``step`` unless one element alone exceeds it."""
+    ends = np.cumsum(sizes)
+    i = 0
+    while i < len(sizes):
+        j = int(np.searchsorted(ends, (ends[i - 1] if i else 0) + step, "right"))
+        j = max(j, i + 1)
+        yield i, j
+        i = j
+
+
+def _merge(keys, counts):
+    """Sum ``counts`` over equal ``keys`` (at least one); returns both
+    sorted by key."""
+    order = np.argsort(keys)
+    keys, counts = keys[order], counts[order]
+    start = np.concatenate(([0], np.flatnonzero(keys[1:] != keys[:-1]) + 1))
+    return keys[start], np.add.reduceat(counts, start)
+
+
+#: Bytes that one chunk of the Durfee DP's rows or children may occupy
+#: while it is expanded and merged; each holds at most 16 int64 words
+#: then (about 10 measured).
+_EXPAND_BYTES = 4 * 2**20
+
+
+def _rows(part, counts, per, k, bits):
+    """The (state, a2) rows of the parent states ``part`` that have a
+    child: each row's number of children, least g2 and count, and the
+    parts of its children's keys (see _durfee_graphical_hits)."""
+    mask = (1 << bits) - 1
+    d, left = part >> 4 * bits, part >> 3 * bits & mask
+    gap, g = part >> 2 * bits & mask, part & mask
+    spread = -(-left // (d - k))
+    src = np.repeat(np.arange(len(part)), per)
+    a2 = _ragged(per)
+    lo = np.maximum(np.maximum(a2 + (k + 1) - gap[src], spread[src] - a2), 0)
+    kids = np.minimum(g[src], left[src] - a2) - lo + 1
+    ok = kids > 0
+    src, a2 = src[ok], a2[ok]
+    d = d[src]
+    # a child's key less its gap and g2 fields, at g2 = 0; its gap before
+    # the clamp, less g2; and the clamp
+    head = (d << 4 * bits) + ((left[src] - a2) << 3 * bits) + (a2 << bits)
+    return (kids[ok], lo[ok], counts[src], head, gap[src] - a2,
+            d + (d - k - 1) * a2)
+
+
+def _child_keys(per, lo, head, low, clamp, bits):
+    """The keys of the children g2 = lo, lo + 1, ... of rows with
+    ``per`` children each."""
+    g2 = _ragged(per) + np.repeat(lo, per)
+    gap2 = np.minimum(np.repeat(low, per) + g2, np.repeat(clamp, per))
+    return np.repeat(head, per) + (gap2 << 2 * bits) + g2 * (1 - (1 << 3 * bits))
+
+
+def _durfee_graphical_hits(n):
+    """Graphical partitions of an even n >= 2, by Durfee size d.
 
     Such a partition is the d x d square plus alpha to its right and
     gamma' below it, where alpha_k = lam_k - d and gamma_k = lam'_k - d
-    are partitions with at most d parts and |alpha| + |gamma| = weight.
-    Conjugate Erdos-Gallai reads Gamma_k - A_k >= k for k = 1..d, on the
-    prefix sums A, Gamma of alpha, gamma.  ``rest(k, a, g, gap, left)``
-    counts the ways to choose levels k+1..d given alpha_k = a,
-    gamma_k = g, gap = Gamma_k - A_k and left = weight - A_k - Gamma_k.
+    are partitions with at most d parts and |alpha| + |gamma| =
+    n - d^2.  Conjugate Erdos-Gallai reads Gamma_k - A_k >= k for
+    k = 1..d, on the prefix sums A, Gamma of alpha, gamma.  Level k of
+    the DP holds every reachable state (d, a, g, gap, left) with its
+    multiplicity: a = alpha_k, g = gamma_k, gap = Gamma_k - A_k and
+    left = n - d^2 - A_k - Gamma_k, one sorted frontier for every d at
+    once.  A state's children choose a2 <= min(a, left) and
+    g2 <= min(g, left - a2) with gap + g2 - a2 >= k + 1; levels k+2..d
+    take at most a2 + g2 each, so a2 + g2 >= ceil(left / (d - k)) (the
+    spread), and a state with d = k + 1 has left = 0 after its last
+    level.  Once gap >= d + (d-k-1) a2 no later level can fail, so every
+    larger gap counts alike: the gap is clamped there to merge states.
+
+    The spread keeps only prefixes that extend to a whole pair (alpha,
+    gamma), so a state counts distinct partitions of n and its count is
+    at most pi(n) < 2^63 (n <= 405): int64 is exact.  States are packed
+    into one int64 key (d, left, gap, a, g), n.bit_length() bits a field
+    (41 bits in all at n <= 405), and children with equal keys are
+    summed by a sort.  Children are expanded in chunks of at most
+    _EXPAND_BYTES, parents in key order, so children that merge mostly
+    meet within a chunk.
     """
-
-    @lru_cache(maxsize=None)
-    def rest(k, a, g, gap, left):
-        if k == d:
-            return 1  # level d took all that was left: spread = left there
-        # levels k+1..d take at most a2 + g2 each, so a2 + g2 >= spread
-        spread = -(-left // (d - k))
-        total = 0
-        for a2 in range(min(a, left) + 1):
-            lo = max(0, a2 + k + 1 - gap, spread - a2)
-            for g2 in range(lo, min(g, left - a2) + 1):
-                # once gap >= d + (d-k-1) a2, no later level can fail,
-                # so every larger gap counts alike: clamp to merge states
-                gap2 = min(gap + g2 - a2, d + (d - k - 1) * a2)
-                total += rest(k + 1, a2, g2, gap2, left - a2 - g2)
-        return total
-
-    try:
-        return rest(0, weight, weight, 0, weight)
-    finally:
-        # rest refers to itself, so without this its memo would outlive
-        # the call until the cyclic garbage collector ran
-        rest.cache_clear()
+    bits = n.bit_length()
+    mask = (1 << bits) - 1
+    step = _EXPAND_BYTES // (16 * 8)
+    dmax = math.isqrt(n)
+    d = np.arange(1, dmax + 1, dtype=np.int64)
+    weight = n - d * d
+    keys = ((d << bits | weight) << 2 * bits | weight) << bits | weight
+    counts = np.ones_like(d)
+    hits = 0
+    for k in range(dmax):
+        # states with d = k took their last level at k - 1
+        live = keys >> 4 * bits > k
+        hits += int(counts[~live].sum())
+        keys, counts = keys[live], counts[live]
+        # one row per (state, a2), then one per child (state, a2, g2); the
+        # temporaries of _rows and _child_keys die on return, so a chunk
+        # holds no more than step rows or children at once
+        nrows = np.minimum(keys >> bits & mask, keys >> 3 * bits & mask) + 1
+        found = []
+        for i, j in _runs(nrows, step):
+            kids, lo, cnt, head, low, clamp = _rows(keys[i:j], counts[i:j],
+                                                  nrows[i:j], k, bits)
+            for p, q in _runs(kids, step):
+                per = kids[p:q]
+                found.append(_merge(
+                    _child_keys(per, lo[p:q], head[p:q], low[p:q], clamp[p:q], bits),
+                    np.repeat(cnt[p:q], per)))
+        if not found:
+            return hits
+        keys, counts = (found[0] if len(found) == 1 else
+                        _merge(*(np.concatenate(x) for x in zip(*found))))
+    # every state left has d = dmax and took its last level
+    return hits + int(counts.sum())
 
 
 #: Largest n whose Durfee-square count finishes within a minute.  Its
-#: time grows about like n^7: on 2 x86-64 cores it took 22 s at
-#: n = 120, 56 s at 138 and 68 s at 140.
-_DURFEE_DP_MAX_N = 138
+#: time grows about like n^6.5: on 2 x86-64 cores it took 0.44 s at
+#: n = 100, 3.7 s at 138 and 48-50 s (835-844 MB peak RSS) at 200.
+_DURFEE_DP_MAX_N = 200
 
 
 def graphical_count(n):
     """(graphical partitions of n, pi(n)), counted without enumeration.
 
-    Sums _durfee_graphical_count over the Durfee size d; odd n has no
-    graphical partition.  pi(n) comes from the pentagonal recurrence.
-    The memo lives for one call.  n above _DURFEE_DP_MAX_N is refused.
+    The count is _durfee_graphical_hits, over every Durfee size at once;
+    odd n has no graphical partition.  pi(n) comes from the pentagonal
+    recurrence.  Nothing is kept between calls.  n above
+    _DURFEE_DP_MAX_N is refused.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -265,12 +358,7 @@ def graphical_count(n):
     total = pentagonal_counts(n)[n]
     if n % 2:
         return 0, total
-    hits = 1 if n == 0 else 0
-    d = 1
-    while d * d <= n:
-        hits += _durfee_graphical_count(d, n - d * d)
-        d += 1
-    return hits, total
+    return (_durfee_graphical_hits(n) if n else 1), total
 
 
 def exact_p(n):

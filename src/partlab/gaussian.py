@@ -294,8 +294,9 @@ def decay_fit(points):
     y = np.log([p for _, p in pts])
     if np.ptp(x) == 0.0:
         raise ValueError("points must span more than one n")
-    # scipy.stats takes most of a second to import; only fits load it
-    from scipy.stats import linregress
-
-    fit = linregress(x, y)
-    return DecayFit(slope=float(fit.slope), stderr=float(fit.stderr))
+    sxx, sxy, _, syy = np.cov(x, y, bias=True).flat
+    # the residuals hold the share 1 - r^2 of syy; r is clipped against
+    # rounding, and a constant estimate is fitted exactly
+    r = min(max(sxy / math.sqrt(sxx * syy), -1.0), 1.0) if syy else 0.0
+    stderr = math.sqrt((1.0 - r**2) * syy / sxx / (len(pts) - 2))
+    return DecayFit(slope=float(sxy / sxx), stderr=stderr)

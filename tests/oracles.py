@@ -13,6 +13,9 @@ code with the kernel it checks:
   sampling.sample_uniform_batch;
 * the reverse-lexicographic enumeration of the partitions of n, the
   p(n) oracle for n <= 40, against counting's unranking and DPs;
+* the memoised Durfee-square recursion for the graphical count, one
+  transition at a time, against the frontier DP of
+  counting.graphical_count;
 * a nested ternary search for the maximin exponents, against the
   closed form of gaussian.optimize_exponents.
 
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -298,6 +302,55 @@ def enumerate_partitions(n):
         raise ValueError("n must be nonnegative")
     for parts in _part_tuples(n):
         yield Partition(parts)
+
+
+def _durfee_graphical_count(d, weight):
+    """Graphical partitions of an even n = d^2 + weight with Durfee size d.
+
+    Such a partition is the d x d square plus alpha to its right and
+    gamma' below it, where alpha_k = lam_k - d and gamma_k = lam'_k - d
+    are partitions with at most d parts and |alpha| + |gamma| = weight.
+    Conjugate Erdos-Gallai reads Gamma_k - A_k >= k for k = 1..d, on the
+    prefix sums A, Gamma of alpha, gamma.  ``rest(k, a, g, gap, left)``
+    counts the ways to choose levels k+1..d given alpha_k = a,
+    gamma_k = g, gap = Gamma_k - A_k and left = weight - A_k - Gamma_k.
+    """
+
+    @lru_cache(maxsize=None)
+    def rest(k, a, g, gap, left):
+        if k == d:
+            return 1  # level d took all that was left: spread = left there
+        # levels k+1..d take at most a2 + g2 each, so a2 + g2 >= spread
+        spread = -(-left // (d - k))
+        total = 0
+        for a2 in range(min(a, left) + 1):
+            lo = max(0, a2 + k + 1 - gap, spread - a2)
+            for g2 in range(lo, min(g, left - a2) + 1):
+                # once gap >= d + (d-k-1) a2, no later level can fail,
+                # so every larger gap counts alike: clamp to merge states
+                gap2 = min(gap + g2 - a2, d + (d - k - 1) * a2)
+                total += rest(k + 1, a2, g2, gap2, left - a2 - g2)
+        return total
+
+    try:
+        return rest(0, weight, weight, 0, weight)
+    finally:
+        # rest refers to itself, so without this its memo would outlive
+        # the call until the cyclic garbage collector ran
+        rest.cache_clear()
+
+
+def durfee_graphical_hits(n):
+    """Graphical partitions of n, by one memoised recursion per Durfee
+    size d; the reference for counting.graphical_count's frontier DP."""
+    if n % 2:
+        return 0
+    hits = 1 if n == 0 else 0
+    d = 1
+    while d * d <= n:
+        hits += _durfee_graphical_count(d, n - d * d)
+        d += 1
+    return hits
 
 
 # ------------------------------------------------------------- exponents

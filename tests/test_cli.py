@@ -32,6 +32,13 @@ class TestExact:
         assert res.exit_code == 0
         assert lines(res) == ["n,pi_n,graphical_count,p_exact", "4,5,2,2/5"]
 
+    def test_p_row_for_sixty(self, runner):
+        # the frontier DP end to end, on a weight the enumeration never reaches
+        res = runner.invoke(main, ["exact", "--p", "--n", "60"])
+        assert res.exit_code == 0
+        assert lines(res) == ["n,pi_n,graphical_count,p_exact",
+                              "60,966467,357635,357635/966467"]
+
     def test_p_multiple_n(self, runner):
         res = runner.invoke(main, ["exact", "--p", "--n", "0", "--n", "8"])
         assert res.exit_code == 0
@@ -63,11 +70,11 @@ class TestExact:
     def test_cap_violation_is_one_line(self, runner):
         # the library refuses the largest weight before counting any
         started = time.perf_counter()
-        res = runner.invoke(main, ["exact", "--p", "--n", "138", "--n", "139"])
+        res = runner.invoke(main, ["exact", "--p", "--n", "200", "--n", "201"])
         assert time.perf_counter() - started < 1.0
         assert res.exit_code == 2
         assert res.output == (
-            "error: n = 139 above 138, the largest n whose Durfee-square "
+            "error: n = 201 above 200, the largest n whose Durfee-square "
             "count finishes within a minute\n")
 
     def test_former_caps_need_no_flag(self, runner):

@@ -179,18 +179,41 @@ class TestExactP:
                 hits += ok
             assert counting.graphical_count(n) == (hits, total), n
 
+    def test_matches_recursion(self):
+        # the frontier DP against the memoised recursion it replaced, odd
+        # n included
+        for n in range(71):
+            assert counting.graphical_count(n) == (
+                oracles.durfee_graphical_hits(n),
+                counting.pentagonal_counts(n)[n]), n
+
     def test_pinned_counts_beyond_tally(self):
-        for n, hits in ((42, 19956), (44, 28179), (46, 39467), (60, 357635)):
+        for n, hits in ((42, 19956), (44, 28179), (46, 39467), (60, 357635),
+                        (80, 5777292), (100, 69065657)):
             assert counting.graphical_count(n) == (
                 hits, counting.pentagonal_counts(n)[n])
 
+    def test_memory_bounded_by_budget(self):
+        # the widest level at n = 100 holds 244,425 states; each state
+        # holds at most 20 int64 words at once (key and count, the next
+        # level's chunk results and their final merge), and a chunk of
+        # children at most _EXPAND_BYTES
+        bound = counting._EXPAND_BYTES + 250_000 * 20 * 8
+        tracemalloc.start()
+        try:
+            counting.graphical_count(100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, peak
+
     def test_cap(self):
-        # one fixed limit, checked before the pentagonal counts or the memo
-        for n in (139, 300, 10**6):
+        # one fixed limit, checked before the pentagonal counts or the DP
+        for n in (201, 300, 10**6):
             tracemalloc.start()
             try:
                 with pytest.raises(ValueError, match=(
-                        f"^n = {n} above 138, the largest n whose Durfee-square "
+                        f"^n = {n} above 200, the largest n whose Durfee-square "
                         "count finishes within a minute$")):
                     counting.exact_p(n)
                 peak = tracemalloc.get_traced_memory()[1]

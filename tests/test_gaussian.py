@@ -280,10 +280,14 @@ class TestDecayFit:
         fit = gaussian.decay_fit(pts)
         assert fit.slope == pytest.approx(-0.5, abs=1e-12)
         assert fit.stderr == pytest.approx(0.0, abs=1e-6)
+        # scipy.stats.linregress's values, rounding residue included
+        assert fit.slope == pytest.approx(-0.49999999999999994, rel=1e-12)
+        assert fit.stderr == pytest.approx(5.268356063861754e-09, rel=1e-12)
 
     def test_constant_sequence(self):
         fit = gaussian.decay_fit([(10, 0.3), (100, 0.3), (1000, 0.3)])
         assert fit.slope == pytest.approx(0.0, abs=1e-14)
+        assert fit.stderr == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError, match="3 points"):
@@ -297,3 +301,6 @@ class TestDecayFit:
         pts = [(n, float(counting.exact_p(n))) for n in range(12, 29, 4)]
         fit = gaussian.decay_fit(pts)
         assert -1.0 < fit.slope < 0.0
+        # scipy.stats.linregress's values
+        assert fit.slope == pytest.approx(-0.056704676764098835, rel=1e-12)
+        assert fit.stderr == pytest.approx(0.010607574137026211, rel=1e-12)
