@@ -17,9 +17,10 @@ one path per row, from a (paths, n) block of standard normals drawn
 row after row.  A block of rows is the same variates in the same
 order as its paths drawn one by one, so persistence_prob, which draws
 one block of rows at a time (at most PATH_BLOCK_ELEMENTS variates, or
-one path), does not depend on the block size.  It draws on the
-caller's thread: the ziggurat normals take a variable number of words,
-so the start of a later block cannot be sought as walks does.
+one path), does not depend on the block size.  It draws every block on
+the caller's thread and integrates and tests the drawn blocks on the
+pool of stats.path_blocks, so it does not depend on the worker count
+either.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stats import MC_BLOCK_ELEMENTS, PATH_BLOCK_ELEMENTS, make_estimate
+from .stats import MC_BLOCK_ELEMENTS, PATH_BLOCK_ELEMENTS, make_estimate, path_blocks
 
 __all__ = [
     "CHOLESKY_CAP",
@@ -136,9 +137,14 @@ def sample_gp_incremental(n, paths, rng):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    z = rng.standard_normal((paths, n))
+    return _integrate(rng.standard_normal((paths, n)))
+
+
+def _integrate(z):
+    """Z from a (paths, n) block of standard normals, in place: per row,
+    the cumulative sum of B_k/k with B the cumulative sum of the row."""
     np.cumsum(z, axis=1, out=z)
-    z *= 1.0 / np.arange(1, n + 1)
+    z *= 1.0 / np.arange(1, z.shape[1] + 1)
     return np.cumsum(z, axis=1, out=z)
 
 
@@ -156,7 +162,7 @@ def sample_gp_cholesky(n, paths, rng):
 def persistence_prob(n, alpha, trials, rng):
     """Monte Carlo estimate of P(max_{k<=n} Z_k <= n**alpha).
 
-    Draws blocks of paths with the incremental sampler, so the result
+    Draws blocks of paths as the incremental sampler does, so the result
     does not depend on the block size; alpha must lie in [0, 1/2).
     """
     if n < 1:
@@ -167,11 +173,12 @@ def persistence_prob(n, alpha, trials, rng):
     if trials < 1:
         raise ValueError("trials must be >= 1")
     cut = float(n) ** alpha
-    cap = max(1, PATH_BLOCK_ELEMENTS // n)
-    hits = 0
-    for done in range(0, trials, cap):
-        z = sample_gp_incremental(n, min(cap, trials - done), rng)
-        hits += int(np.count_nonzero(z.max(axis=1) <= cut))
+
+    def hits(z):
+        return int(np.count_nonzero(_integrate(z).max(axis=1) <= cut))
+
+    hits = sum(path_blocks(trials, max(1, PATH_BLOCK_ELEMENTS // n),
+                           lambda paths: rng.standard_normal((paths, n)), hits))
     return make_estimate("gp-persistence", hits, trials, n=n)
 
 

@@ -1,12 +1,11 @@
-"""Seedable, splittable random streams.
+"""Seedable random streams.
 
-Built on the Philox counter-based bit generator keyed by
-(seed, stream_id), so any trial index can own an independent stream
-while staying bit-reproducible across runs and platforms.  A stream is
-single-owner mutable state; hand each worker its own substream instead
-of sharing one.  Philox is counter-based (Salmon et al., SC 2011), so
-a stream can be moved to any word of its sequence in O(1): seek and
-position let threads draw consecutive stretches of one stream at once.
+Built on the Philox counter-based bit generator (Salmon et al., SC
+2011) keyed by (seed, stream_id), each a 64-bit word, so any trial
+index can own an independent stream while staying bit-reproducible
+across runs and platforms.  A stream is single-owner mutable state:
+draw from it on one thread, as the path estimators do, or give each
+thread a stream of its own.
 """
 
 from __future__ import annotations
@@ -15,62 +14,26 @@ import numpy as np
 
 __all__ = ["RandomStream"]
 
-_MASK64 = (1 << 64) - 1
-
 
 class RandomStream:
-    """A seeded random stream with named, independent substreams.
+    """A seeded random stream.
 
-    The pair (seed, stream_id) fully determines the variate sequence.
+    The pair (seed, stream_id) fully determines the variate sequence;
+    each must lie in [0, 2**64), the range of the key words, and
+    anything else raises ValueError.
     """
 
     def __init__(self, seed, stream_id=0):
         self.seed = int(seed)
         self.stream_id = int(stream_id)
-        key = np.array(
-            [self.seed & _MASK64, self.stream_id & _MASK64], dtype=np.uint64
-        )
+        for name, value in (("seed", self.seed), ("stream id", self.stream_id)):
+            if not 0 <= value < 2**64:
+                raise ValueError(f"{name} {value} lies outside [0, 2**64)")
+        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
     def __repr__(self):
         return f"RandomStream(seed={self.seed}, stream_id={self.stream_id})"
-
-    def substream(self, stream_id):
-        """Fresh independent stream with the same seed and a new id."""
-        return RandomStream(self.seed, stream_id)
-
-    @property
-    def position(self):
-        """64-bit words drawn from the stream so far.
-
-        Generator.random takes one word per double, so after k uniforms
-        (and no other draws) the position is k.  Philox makes 4 words per
-        counter step and buffers them: counter c with buffer_pos b means
-        4(c - 1) + b words are gone.
-        """
-        state = self._gen.bit_generator.state
-        steps = sum(int(c) << 64 * i for i, c in enumerate(state["state"]["counter"]))
-        return 4 * steps + state["buffer_pos"] - 4
-
-    def seek(self, position):
-        """Move the stream to word ``position`` of its sequence, so that
-        the next double drawn is the one that follows the first
-        ``position`` words; the half word integers() keeps is unchanged.
-
-        The counter is set to the last full step before the word, with
-        an empty buffer, and the remaining position % 4 words of the
-        next step are drawn and discarded.
-        """
-        if position < 0:
-            raise ValueError("position must be >= 0")
-        bitgen = self._gen.bit_generator
-        state = bitgen.state
-        steps, extra = divmod(position, 4)
-        state["state"]["counter"] = np.array(
-            [(steps >> 64 * i) & _MASK64 for i in range(4)], dtype=np.uint64)
-        state["buffer_pos"] = 4
-        bitgen.state = state
-        bitgen.random_raw(extra)
 
     def uniform(self, size=None):
         """Uniform variates on [0, 1)."""

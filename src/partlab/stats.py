@@ -1,9 +1,14 @@
 """Shared numerical plumbing: the partition scaling constant, Wilson
-intervals, Monte Carlo estimate records, and compensated summation."""
+intervals, Monte Carlo estimate records, compensated summation, and
+path_blocks, the one block loop of the walk and Gaussian-process
+estimators."""
 
 from __future__ import annotations
 
+import collections
 import math
+import os
+from concurrent import futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +23,7 @@ __all__ = [
     "kahan_cumsum_rows",
     "kahan_sum",
     "make_estimate",
+    "path_blocks",
     "wilson_interval",
 ]
 
@@ -38,6 +44,53 @@ MC_BLOCK_ELEMENTS = 4 * 10**6
 #: longer: the block's temporaries then stay in cache, and two blocks in
 #: flight with theirs take about 10 MB.
 PATH_BLOCK_ELEMENTS = 2**18
+
+#: Threads that evaluate path blocks at once, and the most drawn blocks
+#: that wait for them: two where this process may run on two cores, else
+#: one.  numpy's ufuncs release the interpreter lock, so the caller draws
+#: the next block while the pool evaluates the last ones.
+_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
+
+
+def _new_pool():
+    """Make the path blocks' thread pool, which is then kept.
+
+    A new thread starts on its parent's core, and Linux was seen to take
+    about half a second of load to move one, so a pool made per call
+    would run both blocks on one core.  The pool starts its threads on
+    first use, and a forked child, which has none of its parent's
+    threads, makes a pool of its own.
+    """
+    global _pool
+    _pool = futures.ThreadPoolExecutor(_WORKERS, thread_name_prefix="partlab-paths")
+
+
+_new_pool()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_pool)
+
+
+def path_blocks(trials, per_block, draw, evaluate):
+    """Yield evaluate(draw(paths)) for consecutive blocks of at most
+    ``per_block`` of ``trials`` paths, in block order.
+
+    draw(paths) runs on the caller's thread, block after block, so the
+    blocks take their variates in the order of one serial loop; evaluate
+    runs on the pool, with at most _WORKERS drawn blocks waiting for it.
+    """
+    flight = collections.deque()
+    try:
+        for done in range(0, trials, per_block):
+            if len(flight) == _WORKERS:
+                yield flight.popleft().result()
+            flight.append(_pool.submit(evaluate, draw(min(per_block, trials - done))))
+        while flight:
+            yield flight.popleft().result()
+    finally:
+        for future in flight:
+            future.cancel()
+        futures.wait(flight)
 
 
 def wilson_interval(hits, trials):

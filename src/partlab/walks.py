@@ -27,26 +27,16 @@ across steps, with the additions of a path evaluated on its own, in
 their order; each prefix-sum verdict is exact for the stored float64
 terms.
 
-Where two cores are available, two blocks are drawn and evaluated at
-once on threads, each from its own copy of the stream sought to the
-block's first word, and their tallies are added in block order; the
-stream is then left where drawing every block in turn would leave it.
-So the estimates and the stream's later draws do not depend on the
-worker count either.  (RandomStream.uniform_open redraws an exact 0.0
-after each rng.exponential call, a sub-draw of at most
-_SUBDRAW_ELEMENTS variates within a block, with probability 2^-53 per
-variate; the redraw shifts every later block, which are then drawn in
-turn on the caller's stream.)
+The caller's thread draws the blocks' uniforms in turn, by the
+uniform_open calls rng.exponential would make, and stats.path_blocks
+evaluates them on its pool, so the estimates and the stream's later
+draws do not depend on the worker count either.
 """
 
 from __future__ import annotations
 
-import collections
 import itertools
 import math
-import os
-import threading
-from concurrent import futures
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -58,6 +48,7 @@ from .stats import (
     PATH_BLOCK_ELEMENTS,
     Z95,
     make_estimate,
+    path_blocks,
 )
 
 __all__ = [
@@ -85,16 +76,11 @@ __all__ = [
 #: as long, for the Python work per block, and blocks of
 #: PATH_BLOCK_ELEMENTS (14,563 paths) 1.2 times.
 _CHUNK = 4096
-#: Most variates in one rng.exponential call filling a step-major block
+#: Most variates in one uniform_open call filling a step-major block
 #: (a block with at least as many paths as steps, so at most 362 steps):
 #: 1 MB, which the cache holds while the call is transposed into the
 #: block; a block of PATH_BLOCK_ELEMENTS takes two such calls.
 _SUBDRAW_ELEMENTS = 2**17
-#: Threads that draw and evaluate walk blocks at once: two where this
-#: process may run on two cores, else one (every block on the caller's
-#: thread).  numpy's fills and ufuncs release the interpreter lock.
-_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-               else os.cpu_count() or 1)
 #: Most indices j <= ceil(log^3 n) the ratio-tail functions will hold in
 #: memory: 8 MB per float64 array, against 782 indices at n = 10^4.
 RATIO_TAIL_MAX_INDICES = 10**6
@@ -232,35 +218,6 @@ def _walk_length(n, gamma):
     return length
 
 
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _executor():
-    """The walk blocks' thread pool, made on first use and then kept.
-
-    A new thread starts on its parent's core, and Linux was seen to take
-    about half a second of load to move one, so a pool made per call
-    would run both blocks on one core.
-    """
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = futures.ThreadPoolExecutor(_WORKERS, thread_name_prefix="partlab-walks")
-        return _pool
-
-
-def _forget_pool():
-    # a forked child has none of its parent's threads, one of which may
-    # have held the lock
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
 def _walk_blocks(length, trials, rng, evaluate):
     """evaluate(s, sp) on the prefix sums S, S' of ``trials`` paths, one
     block of paths at a time; yields the results in block order.
@@ -268,83 +225,43 @@ def _walk_blocks(length, trials, rng, evaluate):
     Variates are drawn path-major: each path takes 2*length consecutive
     exponentials, X then X' (the order of gen_walk), and a block holds
     at most PATH_BLOCK_ELEMENTS of them (one path if a path is longer),
-    so the paths do not depend on the block size.  With _WORKERS > 1
-    the blocks are drawn and evaluated on threads (_threaded_blocks),
-    which changes neither the paths nor the order of the results.
+    so the paths do not depend on the block size.  The caller's thread
+    draws each block's uniforms (_draw_uniforms); the pool turns them
+    into exponentials and prefix sums in place and runs evaluate.
     """
-    cap = max(1, min(_CHUNK, PATH_BLOCK_ELEMENTS // (2 * length)))
-    sizes = [min(cap, trials - done) for done in range(0, trials, cap)]
-    done = 0
-    if _WORKERS > 1 and len(sizes) > 1:
-        done = yield from _threaded_blocks(length, sizes, rng, evaluate)
-    for paths in sizes[done:]:
-        yield evaluate(*_draw_block(length, paths, rng))
+    per_block = max(1, min(_CHUNK, PATH_BLOCK_ELEMENTS // (2 * length)))
+
+    def prefix_sums(walk):
+        np.log(walk, out=walk)
+        np.negative(walk, out=walk)
+        _cumsum_steps(walk)
+        return evaluate(walk[:, 0], walk[:, 1])
+
+    return path_blocks(trials, per_block, lambda paths: _draw_uniforms(length, paths, rng),
+                       prefix_sums)
 
 
-def _threaded_blocks(length, sizes, rng, evaluate):
-    """Yield evaluate(s, sp) for blocks of ``sizes`` paths drawn and
-    evaluated on _WORKERS threads, at most _WORKERS blocks in flight,
-    in block order; return how many were yielded, with ``rng`` moved to
-    just after their words.
-
-    Block i draws from its own copy of the stream, sought to the word
-    where serial drawing would start it: the words of the blocks before
-    it, 2*length per path.  A block whose draw took more words than
-    that (uniform_open redrew an exact 0.0, probability 2^-53 per
-    variate) is still its serial draw, but every later block would
-    start at the wrong word; those are left to the serial loop.
-    """
-    starts = list(itertools.accumulate((2 * length * p for p in sizes),
-                                       initial=rng.position))
-
-    def run(i):
-        stream = rng.substream(rng.stream_id)
-        stream.seek(starts[i])
-        out = evaluate(*_draw_block(length, sizes[i], stream))
-        return out, stream.position
-
-    pool = _executor()
-    flight = collections.deque(
-        pool.submit(run, i) for i in range(min(_WORKERS, len(sizes))))
-    try:
-        for i in range(len(sizes)):
-            out, end = flight.popleft().result()
-            yield out
-            if end != starts[i + 1]:
-                rng.seek(end)
-                return i + 1
-            if i + _WORKERS < len(sizes):
-                flight.append(pool.submit(run, i + _WORKERS))
-    finally:
-        for future in flight:
-            future.cancel()
-        futures.wait(flight)
-    rng.seek(starts[-1])
-    return len(sizes)
-
-
-def _draw_block(length, paths, rng):
-    """Prefix sums S, S' of the next ``paths`` paths on ``rng``, as two
-    (length, paths) views of one block whose column p is path p.
+def _draw_uniforms(length, paths, rng):
+    """The open-interval uniforms behind the next ``paths`` paths on
+    ``rng``, as a (length, 2, paths) block whose column p is path p,
+    drawn by the uniform_open calls rng.exponential would make.
 
     A block with at least as many paths as steps is drawn in path-major
     sub-draws of at most _SUBDRAW_ELEMENTS variates, each transposed into
-    a (length, 2, paths) buffer, so that every step is one contiguous row
-    across the paths.  A block with fewer paths than steps (long paths)
-    keeps the path-major memory of one draw and is only viewed step-major.
+    a step-major buffer, so that every step is one contiguous row across
+    the paths.  A block with fewer paths than steps (long paths) keeps
+    the path-major memory of one draw and is only viewed step-major.
     Either way the prefix sums add the same terms in the same order.
     """
     if paths < length:
-        walk = rng.exponential((paths, 2 * length)).reshape(paths, 2, length).T
-    else:
-        per_draw = max(1, _SUBDRAW_ELEMENTS // (2 * length))
-        walk = np.empty((length, 2, paths))
-        for p in range(0, paths, per_draw):
-            k = min(per_draw, paths - p)
-            sub = rng.exponential((k, 2 * length)).reshape(k, 2, length)
-            walk[:, :, p:p + k] = sub.T
-    _cumsum_steps(walk)
-    return walk[:, 0], walk[:, 1]
+        return rng.uniform_open((paths, 2 * length)).reshape(paths, 2, length).T
+    per_draw = max(1, _SUBDRAW_ELEMENTS // (2 * length))
+    walk = np.empty((length, 2, paths))
+    for p in range(0, paths, per_draw):
+        k = min(per_draw, paths - p)
+        sub = rng.uniform_open((k, 2 * length)).reshape(k, 2, length)
+        walk[:, :, p:p + k] = sub.T
+    return walk
 
 
 def _cumsum_steps(a):

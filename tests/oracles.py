@@ -10,7 +10,8 @@ code with the kernel it checks:
 * the Gale-Ryser criterion and Kostka numbers by tableau enumeration,
   against the dominance order of partlab.partitions;
 * the one-draw exact sampler, against the batch unranking of
-  sampling.sample_uniform_batch;
+  sampling.sample_uniform_batch, and the count of words a stream has
+  drawn, against the estimators' draws;
 * the reverse-lexicographic enumeration of the partitions of n, the
   p(n) oracle for n <= 40, against counting's unranking and DPs;
 * the memoised Durfee-square recursion for the graphical count, one
@@ -263,6 +264,19 @@ def sample_exact_uniform(table, n, rng):
     """Exactly uniform partition of n, by unranking a uniform index; the
     one-draw case of method 'exact' in ``sample_uniform_batch``."""
     return unrank(table, n, rng.integer_below(table.count(n)))
+
+
+def words_drawn(rng):
+    """64-bit words drawn from ``rng`` so far, read off its Philox state.
+
+    Generator.random takes one word per double, so after k uniforms (and
+    no other draws) k words are gone.  Philox makes 4 words per counter
+    step and buffers them: counter c with buffer position b means
+    4(c - 1) + b words are gone.
+    """
+    state = rng._gen.bit_generator.state
+    steps = sum(int(c) << 64 * i for i, c in enumerate(state["state"]["counter"]))
+    return 4 * steps + state["buffer_pos"] - 4
 
 
 # ---------------------------------------------------------- enumeration

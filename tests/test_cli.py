@@ -426,6 +426,15 @@ def test_float_overflow_is_one_line(runner, args, quantity):
     assert res.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("seed", [str(2**64), "-1"])
+def test_seed_outside_64_bits_is_one_line(runner, seed):
+    # masked to 64 bits, seed 2**64 drew seed 0's hits under its own name
+    res = runner.invoke(main, ["estimate-p", "--n", "20", "--trials", "50", "--seed", seed])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr == f"error: seed {seed} lies outside [0, 2**64)\n"
+
+
 class TestGaussianCommands:
     def test_cov_small_values(self, runner):
         res = runner.invoke(main, ["gp", "cov", "--m", "1", "--n", "2"])

@@ -29,11 +29,16 @@ class TestRandomStream:
         b = RandomStream(42, 1).uniform(100)
         assert not np.array_equal(a, b)
 
-    def test_substream_matches_direct_construction(self):
-        root = RandomStream(7, 0)
-        assert np.array_equal(
-            root.substream(5).uniform(10), RandomStream(7, 5).uniform(10)
-        )
+    @pytest.mark.parametrize("seed, stream_id", [
+        (2**64, 0), (-1, 0), (0, 2**64), (0, -1), (2**70, 3)])
+    def test_key_outside_64_bits_is_refused(self, seed, stream_id):
+        # masked to 64 bits, seed 2**64 would draw seed 0's stream
+        with pytest.raises(ValueError, match=r"outside \[0, 2\*\*64\)"):
+            RandomStream(seed, stream_id)
+
+    def test_key_ends_of_64_bits(self):
+        top = RandomStream(2**64 - 1, 2**64 - 1).uniform(4)
+        assert not np.array_equal(top, RandomStream(0, 0).uniform(4))
 
     def test_uniform_open_interval(self):
         u = RandomStream(1, 1).uniform_open(10**5)
@@ -96,8 +101,8 @@ class TestRandomStream:
 
 
 class TestPhiloxKnownAnswers:
-    """The words and transforms the walk estimators' seek relies on, pinned
-    on numpy 2.4, so that a numpy change to any of them fails here."""
+    """The words and transforms the seeded outputs rest on, pinned on
+    numpy 2.4, so that a numpy change to any of them fails here."""
 
     WORDS = [0xC0C4AD75F88248D6, 0x3345459EC2F5F741, 0x638819D3CAA47BFC,
              0x8E0351D9D4188C0F, 0x7797117409518164, 0xA029B379E5651510]
@@ -127,39 +132,6 @@ class TestPhiloxKnownAnswers:
         bitgen = self._bitgen()
         bitgen.advance(1)
         assert bitgen.random_raw(2).tolist() == self.WORDS[4:6]
-
-
-class TestSeek:
-    @pytest.mark.parametrize("drawn", [0, 1, 3, 4, 5, 11])
-    @pytest.mark.parametrize("ahead", [0, 1, 2, 4, 7, 4001])
-    def test_seek_matches_drawing(self, drawn, ahead):
-        walked, sought = RandomStream(8, 1), RandomStream(8, 1)
-        walked.uniform(drawn)
-        sought.uniform(drawn)
-        assert walked.position == sought.position == drawn
-        walked.uniform(ahead)
-        sought.seek(drawn + ahead)
-        assert sought.position == drawn + ahead
-        assert np.array_equal(sought.uniform(9), walked.uniform(9))
-
-    def test_seek_backwards_and_far(self):
-        rng = RandomStream(8, 1)
-        first = rng.uniform(6)
-        rng.seek(2)
-        assert np.array_equal(rng.uniform(4), first[2:])
-        rng.seek(2**70 + 3)
-        assert rng.position == 2**70 + 3
-        with pytest.raises(ValueError):
-            rng.seek(-1)
-
-    def test_seek_keeps_the_half_word_of_uint32_draws(self):
-        walked, sought = RandomStream(8, 2), RandomStream(8, 2)
-        for rng in (walked, sought):
-            rng.integers_below(2**32, 1)
-        walked.uniform(10)
-        sought.seek(sought.position + 10)
-        assert walked.integers_below(2**32, 3).tolist() == sought.integers_below(
-            2**32, 3).tolist()
 
 
 def _integer_below_by_bytes(stream, bound):

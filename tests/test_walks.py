@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import oracles
-from partlab import gaussian, selfcheck, walks
+from partlab import gaussian, selfcheck, stats, walks
 from partlab.rng import RandomStream
 from partlab.stats import C_SCALE, MC_BLOCK_ELEMENTS, PATH_BLOCK_ELEMENTS, Z95, kahan_cumsum
 from partlab.walks import WalkPath
@@ -279,9 +279,9 @@ class TestEstimateEvent:
             # Gaussian-process blocks of 163 paths of 1600 steps
             partial(gaussian.persistence_prob, 1600, 0.0, 2500, RandomStream(16, 4)),
         ]
-        # two blocks in flight, each with its evaluation's temporaries:
-        # at most about 4 blocks' bytes were seen (log at n = 10^12)
-        monkeypatch.setattr(walks, "_WORKERS", 2)
+        # at most two blocks at once, being drawn or evaluated, each with
+        # its temporaries: about 4 blocks' bytes were seen (log at n = 10^12)
+        monkeypatch.setattr(stats, "_WORKERS", 2)
         peaks = []
         tracemalloc.start()
         try:
@@ -488,10 +488,10 @@ def _set_block_size(monkeypatch, chunk, budget, subdraw):
 
 
 def _results_by_size_and_workers(monkeypatch, run):
-    """run() at every block size, on one thread and on two."""
+    """run() at every block size, on one worker and on two."""
     results = []
     for workers in (1, 2):
-        monkeypatch.setattr(walks, "_WORKERS", workers)
+        monkeypatch.setattr(stats, "_WORKERS", workers)
         for sizes in _BLOCK_SIZES:
             _set_block_size(monkeypatch, *sizes)
             results.append(run())
@@ -542,13 +542,13 @@ def test_stream_after_an_estimator_does_not_depend_on_workers(monkeypatch, name)
     # block in turn; walk paths take two words (doubles) per step
     after = []
     for workers in (1, 2):
-        monkeypatch.setattr(walks, "_WORKERS", workers)
+        monkeypatch.setattr(stats, "_WORKERS", workers)
         rng = RandomStream(20261019, 4)
         rng.integers_below(2**32, 1)  # leaves a half word, which must survive
-        start = rng.position
+        start = oracles.words_drawn(rng)
         result = _ESTIMATORS[name](rng)
-        after.append((result, rng.position - start, rng.integers_below(2**40, 3).tolist(),
-                      rng.uniform(3).tolist()))
+        after.append((result, oracles.words_drawn(rng) - start,
+                      rng.integers_below(2**40, 3).tolist(), rng.uniform(3).tolist()))
     assert after[0] == after[1]
     words = {"eg": 2 * 9 * 20000, "log": 2 * 758 * 600, "headline": 2 * 9 * 20000,
              "containment": 2 * 9 * 20000, "ratio-tail": 2 * walks.log_cube(100) * 3000}
@@ -556,23 +556,46 @@ def test_stream_after_an_estimator_does_not_depend_on_workers(monkeypatch, name)
         assert after[0][1] == words[name]
 
 
+@pytest.mark.parametrize("name", list(_ESTIMATORS))
+def test_estimators_draw_on_the_calling_thread(monkeypatch, name):
+    # only evaluation runs on the pool: every block is drawn in turn by
+    # the thread that called the estimator
+    monkeypatch.setattr(stats, "_WORKERS", 2)
+    threads = set()
+    for method in ("uniform", "standard_normal"):
+        def record(self, size=None, draw=getattr(RandomStream, method)):
+            threads.add(threading.get_ident())
+            return draw(self, size)
+
+        monkeypatch.setattr(RandomStream, method, record)
+    _ESTIMATORS[name](RandomStream(20261019, 7))
+    assert threads == {threading.get_ident()}
+
+
+#: A walk estimator and the Gaussian-process one, each several blocks
+#: long, as seed -> hits.
+_POOLED = [
+    lambda seed: walks.estimate_event("log", 10**12, 0.24, None, 700,
+                                      RandomStream(seed, 0)).hits,
+    lambda seed: gaussian.persistence_prob(1600, 0.0, 500, RandomStream(seed, 0)).hits,
+]
+
+
 def test_concurrent_callers_share_the_pool(monkeypatch):
     # more calling threads than cores, switching often, each on its own
-    # stream: every result must equal that stream's serial result
-    monkeypatch.setattr(walks, "_WORKERS", 1)
-    want = [walks.estimate_event("log", 10**12, 0.24, None, 700, RandomStream(s, 0)).hits
-            for s in range(6)]
-    monkeypatch.setattr(walks, "_WORKERS", 2)
+    # stream: every result must equal that stream's one-worker result
+    monkeypatch.setattr(stats, "_WORKERS", 1)
+    want = [run(s) for run in _POOLED for s in range(6)]
+    monkeypatch.setattr(stats, "_WORKERS", 2)
     got = {}
 
-    def call(seed):
-        got[seed] = walks.estimate_event("log", 10**12, 0.24, None, 700,
-                                         RandomStream(seed, 0)).hits
+    def call(i):
+        got[i] = _POOLED[i // 6](i % 6)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        threads = [threading.Thread(target=call, args=(s,)) for s in range(6)]
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(len(want))]
         for t in threads:
             t.start()
         for t in threads:
@@ -580,18 +603,17 @@ def test_concurrent_callers_share_the_pool(monkeypatch):
             assert not t.is_alive()
     finally:
         sys.setswitchinterval(interval)
-    assert [got.get(s) for s in range(6)] == want
+    assert [got.get(i) for i in range(len(want))] == want
 
 
 def _estimate_in_child(queue):
-    rng = RandomStream(20261019, 6)
-    queue.put(walks.estimate_event("eg", 10**4, 0.24, None, 20000, rng).hits)
+    queue.put([run(20261019) for run in _POOLED])
 
 
 def test_forked_child_makes_its_own_pool(monkeypatch):
-    monkeypatch.setattr(walks, "_WORKERS", 2)
-    want = walks.estimate_event("eg", 10**4, 0.24, None, 20000, RandomStream(20261019, 6)).hits
-    assert walks._pool is not None
+    monkeypatch.setattr(stats, "_WORKERS", 2)
+    want = [run(20261019) for run in _POOLED]
+    assert any(t.name.startswith("partlab-paths") for t in threading.enumerate())
     context = multiprocessing.get_context("fork")
     queue = context.Queue()
     child = context.Process(target=_estimate_in_child, args=(queue,))
@@ -611,7 +633,7 @@ def _zero_at(monkeypatch, word):
     draw = RandomStream.uniform
 
     def uniform(self, size=None):
-        start = self.position
+        start = oracles.words_drawn(self)
         u = draw(self, size)
         if size is not None and start <= word < start + u.size:
             u.flat[word - start] = 0.0
@@ -623,20 +645,20 @@ def _zero_at(monkeypatch, word):
 @pytest.mark.parametrize("name", ["eg", "log", "containment", "ratio-tail"])
 def test_redrawn_zero_gives_the_serial_answer(monkeypatch, name):
     # a zero in the second block (the first at 758 steps) is redrawn after
-    # its sub-draw, which moves every later block by one word; the
-    # threaded estimators must notice and draw the rest in turn
+    # its sub-draw, which moves every later block by one word; one and
+    # two workers must both draw the rest from there
     run = _ESTIMATORS[name]
     serial = RandomStream(20261019, 5)
-    monkeypatch.setattr(walks, "_WORKERS", 1)
+    monkeypatch.setattr(stats, "_WORKERS", 1)
     run(serial)
     _zero_at(monkeypatch, 3 * 10**5 if name == "ratio-tail" else 2 * 9 * 4096 + 7)
     results = []
     for workers in (1, 2):
-        monkeypatch.setattr(walks, "_WORKERS", workers)
+        monkeypatch.setattr(stats, "_WORKERS", workers)
         rng = RandomStream(20261019, 5)
-        results.append((run(rng), rng.position, rng.uniform(2).tolist()))
+        results.append((run(rng), oracles.words_drawn(rng), rng.uniform(2).tolist()))
     assert results[0] == results[1]
-    assert results[0][1] == serial.position + 1
+    assert results[0][1] == oracles.words_drawn(serial) + 1
 
 
 def test_walk_estimators_reject_long_paths_before_allocating():
