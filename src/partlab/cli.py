@@ -31,7 +31,7 @@ from pathlib import Path
 import click
 
 from . import __version__, counting, gaussian, sampling, selfcheck, walks
-from .rng import RandomStream
+from .rng import GENERATOR, RandomStream
 
 EVENT_COLUMNS = (
     "event", "n", "gamma", "delta", "trials",
@@ -141,7 +141,8 @@ def _emit(subcommand, columns, rows, provenance, *, seed=None,
     """Write one run's results as CSV (default), JSON, or raw lines.
 
     Encoding, target and manifest parameters are the running command's
-    options, unless ``parameters`` names the last.  The embedded manifest
+    options, unless ``parameters`` names the last.  A seeded run's
+    manifest names the generator its seed keys.  The embedded manifest
     is fully deterministic; timestamp and duration go to the
     ``<out>.manifest.json`` sidecar only.
     """
@@ -158,6 +159,8 @@ def _emit(subcommand, columns, rows, provenance, *, seed=None,
         "seed": seed,
         "provenance": dict(sorted(provenance.items())),
     }
+    if seed is not None:
+        manifest["rng"] = GENERATOR
     if text_lines is not None:
         rows = [(line,) for line in text_lines]
     if options["output"] == "csv":

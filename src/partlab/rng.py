@@ -1,36 +1,44 @@
 """Seedable random streams.
 
-Built on the Philox counter-based bit generator (Salmon et al., SC
-2011) keyed by (seed, stream_id), each a 64-bit word, so any trial
-index can own an independent stream while staying bit-reproducible
-across runs and platforms.  A stream is single-owner mutable state:
-draw from it on one thread, as the path estimators do, or give each
-thread a stream of its own.
+Built on the PCG64DXSM bit generator (O'Neill, HMC-CS-2014-0905),
+seeded by ``SeedSequence(seed, spawn_key=(stream_id,))`` with seed and
+stream_id each a 64-bit word.  The stream for (seed, i) is numpy's i-th
+spawned child of ``SeedSequence(seed)``, so any trial index can own an
+independent stream while staying bit-reproducible across runs and
+platforms.  A stream is single-owner mutable state: draw from it on one
+thread, as the path estimators do, or give each thread a stream of its
+own.
 """
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
-__all__ = ["RandomStream"]
+__all__ = ["GENERATOR", "RandomStream"]
+
+_BIT_GENERATOR = np.random.PCG64DXSM
+GENERATOR = _BIT_GENERATOR.__name__  # named in every seeded run's manifest
 
 
 class RandomStream:
     """A seeded random stream.
 
-    The pair (seed, stream_id) fully determines the variate sequence;
-    each must lie in [0, 2**64), the range of the key words, and
-    anything else raises ValueError.
+    The pair (seed, stream_id) fully determines the variate sequence.
+    Each must be an integer (a float or a string raises TypeError) in
+    [0, 2**64), the range of the key words; anything else raises
+    ValueError.
     """
 
     def __init__(self, seed, stream_id=0):
-        self.seed = int(seed)
-        self.stream_id = int(stream_id)
+        self.seed = operator.index(seed)
+        self.stream_id = operator.index(stream_id)
         for name, value in (("seed", self.seed), ("stream id", self.stream_id)):
             if not 0 <= value < 2**64:
                 raise ValueError(f"{name} {value} lies outside [0, 2**64)")
-        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
-        self._gen = np.random.Generator(np.random.Philox(key=key))
+        keys = np.random.SeedSequence(self.seed, spawn_key=(self.stream_id,))
+        self._gen = np.random.Generator(_BIT_GENERATOR(keys))
 
     def __repr__(self):
         return f"RandomStream(seed={self.seed}, stream_id={self.stream_id})"

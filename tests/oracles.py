@@ -266,17 +266,36 @@ def sample_exact_uniform(table, n, rng):
     return unrank(table, n, rng.integer_below(table.count(n)))
 
 
+#: The 64-bit multiplier of numpy's PCG64DXSM state step,
+#: state <- state * M + inc (mod 2**128).
+_PCG64DXSM_MULTIPLIER = 0xDA942042E4DD58B5
+
+
 def words_drawn(rng):
-    """64-bit words drawn from ``rng`` so far, read off its Philox state.
+    """64-bit words drawn from ``rng`` so far, read off its PCG64DXSM state.
 
     Generator.random takes one word per double, so after k uniforms (and
-    no other draws) k words are gone.  Philox makes 4 words per counter
-    step and buffers them: counter c with buffer position b means
-    4(c - 1) + b words are gone.
+    no other draws) k words are gone.  Every word steps the LCG state
+    once, so the words drawn are the LCG distance from the state of a
+    fresh stream with the same key to the current one.  The distance is
+    found a bit at a time (O'Neill's pcg ``distance``): bit i of k is set
+    when the two states still differ in bit i after the lower bits'
+    steps, and the step is squared to a 2**(i+1)-step jump as i rises.
+    A half word kept for the next uint32 counts as drawn.
     """
-    state = rng._gen.bit_generator.state
-    steps = sum(int(c) << 64 * i for i, c in enumerate(state["state"]["counter"]))
-    return 4 * steps + state["buffer_pos"] - 4
+    mask = (1 << 128) - 1
+    state = rng._gen.bit_generator.state["state"]
+    target, plus = state["state"], state["inc"]
+    current = type(rng)(rng.seed, rng.stream_id)._gen.bit_generator.state["state"]["state"]
+    mult, bit, distance = _PCG64DXSM_MULTIPLIER, 1, 0
+    while current != target:
+        if (current ^ target) & bit:
+            current = (current * mult + plus) & mask
+            distance |= bit
+        plus = (mult + 1) * plus & mask
+        mult = mult * mult & mask
+        bit <<= 1
+    return distance
 
 
 # ---------------------------------------------------------- enumeration

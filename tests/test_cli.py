@@ -12,7 +12,7 @@ import click
 import pytest
 from click.testing import CliRunner
 
-from partlab import gaussian, selfcheck
+from partlab import gaussian, rng, selfcheck
 from partlab.cli import _leaves, main
 from partlab.partitions import Partition
 
@@ -243,7 +243,9 @@ class TestEstimators:
 class TestPinnedExactOutput:
     """Seeded exact-method output, pinned byte for byte.  The exact
     sampler takes one index per partition from the stream, in order, so
-    drawing and unranking them as one batch must not change a byte."""
+    drawing and unranking them as one batch must not change a byte.
+    Re-pinned at the same seeds when the streams moved from Philox to
+    PCG64DXSM."""
 
     def test_estimate_p_json(self, runner):
         res = runner.invoke(main, ["estimate-p", "--n", "40", "--trials", "2000",
@@ -273,19 +275,20 @@ ESTIMATE_P_40_SEED_5 = """\
       "ci": "stats.wilson_interval",
       "estimate": "sampling.estimate_p_mc"
     },
+    "rng": "PCG64DXSM",
     "seed": 5,
     "subcommand": "estimate-p",
     "version": "0.1.0"
   },
   "results": [
     {
-      "ci_hi": 0.4040054157716889,
-      "ci_lo": 0.3614450903394054,
+      "ci_hi": 0.3848237611559662,
+      "ci_lo": 0.3426995927518158,
       "delta": null,
-      "estimate": 0.3825,
+      "estimate": 0.3635,
       "event": "p-graphical",
       "gamma": null,
-      "hits": 765,
+      "hits": 727,
       "n": 40,
       "seed": 5,
       "trials": 2000
@@ -295,11 +298,11 @@ ESTIMATE_P_40_SEED_5 = """\
 """
 
 SAMPLE_30_SEED_9 = """\
-7,6,2,2,2,1,1,1,1,1,1,1,1,1,1,1
-4,2,2,2,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1
-11,4,2,2,1,1,1,1,1,1,1,1,1,1,1
-7,5,5,3,1,1,1,1,1,1,1,1,1,1
-14,4,4,4,4
+9,7,7,6,1
+7,7,7,5,2,2
+7,7,7,4,3,2
+9,8,6,3,3,1
+3,3,2,2,2,2,2,2,2,2,1,1,1,1,1,1,1,1
 """
 
 
@@ -320,19 +323,20 @@ SURROGATE_HEADLINE_SEED_11 = """\
       "ci": "stats.wilson_interval",
       "estimate": "walks.estimate_event"
     },
+    "rng": "PCG64DXSM",
     "seed": 11,
     "subcommand": "surrogate",
     "version": "0.1.0"
   },
   "results": [
     {
-      "ci_hi": 0.5786690933927542,
-      "ci_lo": 0.5431748870627561,
+      "ci_hi": 0.5647413215025451,
+      "ci_lo": 0.5291384667172744,
       "delta": 0.006594420627,
-      "estimate": 0.561,
+      "estimate": 0.547,
       "event": "headline",
       "gamma": 0.24,
-      "hits": 1683,
+      "hits": 1641,
       "n": 1000000000000,
       "seed": 11,
       "trials": 3000
@@ -345,7 +349,8 @@ SURROGATE_HEADLINE_SEED_11 = """\
 class TestSurrogate:
     def test_json_output_pinned(self, runner):
         # stdout of the path-major evaluation that preceded step-major
-        # blocks; its 3000 paths of 758 steps fill one block of each layout
+        # blocks, re-pinned on PCG64DXSM streams; its 3000 paths of 758
+        # steps fill one block of each layout
         res = runner.invoke(main, ["surrogate", "--event", "headline",
                                    "--n", "1000000000000", "--gamma", "0.24",
                                    "--delta", "0.006594420627", "--multiplier", "0.1",
@@ -592,6 +597,20 @@ class TestConfigFile:
 
 
 class TestOutputFiles:
+    def test_seeded_manifest_names_the_generator(self, runner, tmp_path):
+        # the embedded manifest and the sidecar name what the seed keys;
+        # an exact run draws nothing and names no generator
+        target = tmp_path / "p12.json"
+        res = runner.invoke(main, ["estimate-p", "--n", "12", "--trials", "50",
+                                   "--seed", "5", "--output", "json",
+                                   "--out", str(target)])
+        assert res.exit_code == 0, res.output
+        assert json.loads(target.read_text())["manifest"]["rng"] == "PCG64DXSM"
+        side = json.loads((tmp_path / "p12.json.manifest.json").read_text())
+        assert side["rng"] == rng.GENERATOR == "PCG64DXSM"
+        res = runner.invoke(main, ["exact", "--p", "--n", "12", "--output", "json"])
+        assert "rng" not in json.loads(res.output)["manifest"]
+
     def test_out_writes_payload_and_sidecar(self, runner, tmp_path):
         target = tmp_path / "p4.csv"
         res = runner.invoke(main, ["exact", "--p", "--n", "4",

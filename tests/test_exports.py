@@ -1,5 +1,6 @@
-"""Every name a partlab module exports in ``__all__`` exists, and no
-function takes a size-limit override."""
+"""Every name a partlab module exports in ``__all__`` exists, no
+function takes a size-limit override, and only ``partlab.rng`` builds
+random generators."""
 
 import importlib
 import inspect
@@ -34,3 +35,12 @@ def test_no_size_limit_overrides(name):
                  for p in inspect.signature(f).parameters
                  if p in ("cap", "jitter", "max_weight")]
     assert overrides == []
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "partlab.rng"])
+def test_only_rng_names_numpy_random(name):
+    # every variate comes from a RandomStream, so the generator and its
+    # keying live in one module
+    source = inspect.getsource(importlib.import_module(name))
+    assert "np.random" not in source
+    assert "numpy.random" not in source

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+import oracles
 from partlab.rng import RandomStream
 from partlab.stats import (
     C_SCALE,
@@ -35,6 +36,19 @@ class TestRandomStream:
         # masked to 64 bits, seed 2**64 would draw seed 0's stream
         with pytest.raises(ValueError, match=r"outside \[0, 2\*\*64\)"):
             RandomStream(seed, stream_id)
+
+    @pytest.mark.parametrize("seed, stream_id", [
+        (2.7, 0), (2.0, 0), ("5", 0), (0, 1.5), (0, "3")])
+    def test_key_that_is_not_an_integer_is_refused(self, seed, stream_id):
+        # int() would truncate 2.7 to seed 2's stream and parse "5"
+        with pytest.raises(TypeError):
+            RandomStream(seed, stream_id)
+
+    def test_numpy_integer_key_is_the_int_key(self):
+        got = RandomStream(np.uint64(2**64 - 1), np.int32(3))
+        assert (got.seed, got.stream_id) == (2**64 - 1, 3)
+        assert type(got.seed) is type(got.stream_id) is int
+        assert np.array_equal(got.uniform(4), RandomStream(2**64 - 1, 3).uniform(4))
 
     def test_key_ends_of_64_bits(self):
         top = RandomStream(2**64 - 1, 2**64 - 1).uniform(4)
@@ -100,38 +114,65 @@ class TestRandomStream:
         assert vals == [rerun.integer_below(bound) for _ in range(200)]
 
 
-class TestPhiloxKnownAnswers:
+class TestPCG64DXSMKnownAnswers:
     """The words and transforms the seeded outputs rest on, pinned on
     numpy 2.4, so that a numpy change to any of them fails here."""
 
-    WORDS = [0xC0C4AD75F88248D6, 0x3345459EC2F5F741, 0x638819D3CAA47BFC,
-             0x8E0351D9D4188C0F, 0x7797117409518164, 0xA029B379E5651510]
+    SEED, STREAM = 20261019, 3
+    WORDS = [0x923008A8A7CD2941, 0x41048EF7040F0F25, 0x130B070F9F39A33E,
+             0x1F97BD19F334B5D2, 0x5B6A6E0CBE6AB7B9, 0x7EF1BDBA685D3F0B]
+
+    def _stream(self):
+        return RandomStream(self.SEED, self.STREAM)
 
     def _bitgen(self):
-        return RandomStream(20261019, 3)._gen.bit_generator
+        return self._stream()._gen.bit_generator
 
     def test_raw_words(self):
         assert self._bitgen().random_raw(6).tolist() == self.WORDS
 
     def test_random_is_one_word_per_double(self):
-        got = RandomStream(20261019, 3).uniform(3).tolist()
-        assert got == [0.753001061726999, 0.20027575613035942, 0.38879548474018744]
+        got = self._stream().uniform(3).tolist()
+        assert got == [0.5710454379803208, 0.25397580652866847, 0.07438701754947497]
         assert got == [(w >> 11) * 2.0**-53 for w in self.WORDS[:3]]
 
     def test_standard_normal(self):
-        assert RandomStream(20261019, 3).standard_normal(3).tolist() == [
-            0.05425048322586578, -0.664559474720452, -0.35587660739291715]
+        assert self._stream().standard_normal(3).tolist() == [
+            -0.6272128155540981, -0.02777565451044039, -0.6433670125407789]
 
     def test_uint32_takes_the_low_then_the_high_half_of_a_word(self):
-        got = RandomStream(20261019, 3)._gen.integers(0, 2**32, size=4, dtype=np.uint32)
-        assert got.tolist() == [4169287894, 3234114933, 3270899521, 860177822]
+        got = self._stream()._gen.integers(0, 2**32, size=4, dtype=np.uint32)
+        assert got.tolist() == [2815240513, 2452621480, 68095781, 1090817783]
         assert got.tolist() == [h for w in self.WORDS[:2]
                                 for h in (w & 0xFFFFFFFF, w >> 32)]
 
-    def test_advance_one_skips_four_words(self):
+    def test_advance_one_skips_one_word(self):
         bitgen = self._bitgen()
         bitgen.advance(1)
-        assert bitgen.random_raw(2).tolist() == self.WORDS[4:6]
+        assert bitgen.random_raw(5).tolist() == self.WORDS[1:]
+
+    def test_stream_is_the_spawned_seed_sequence_child(self):
+        keys = np.random.SeedSequence(self.SEED, spawn_key=(self.STREAM,))
+        by_hand = np.random.PCG64DXSM(keys)
+        assert by_hand.state == self._bitgen().state
+        child = np.random.SeedSequence(self.SEED).spawn(self.STREAM + 1)[-1]
+        assert np.random.PCG64DXSM(child).random_raw(6).tolist() == self.WORDS
+
+    def test_seed_and_stream_id_are_not_interchangeable(self):
+        s, t = self.SEED, self.STREAM
+        firsts = [RandomStream(*key)._gen.bit_generator.random_raw()
+                  for key in ((s, t), (t, s), (s, t + 1))]
+        assert firsts == [self.WORDS[0], 0xF0229ECD1F4011A8, 0x86DAA1613D880390]
+
+    @pytest.mark.parametrize("k", [0, 1, 5, 2**18 + 3, 2**70 + 1])
+    def test_words_drawn_reads_the_state_distance(self, k):
+        # the test helper the stream-position assertions rest on
+        stream = self._stream()
+        stream._gen.bit_generator.advance(k)
+        assert oracles.words_drawn(stream) == k
+        stream.uniform(7)
+        stream.integers_below(2**32, 1)  # half a word, counted as drawn
+        assert oracles.words_drawn(stream) == k + 8
 
 
 def _integer_below_by_bytes(stream, bound):

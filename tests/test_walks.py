@@ -225,8 +225,8 @@ class TestEstimateEvent:
         # lengths 1 and 2 are pinned as well as replayed.
         for n, gamma, trials, seed, pinned in (
             (2000, 0.22, 600, (15, 3), None),
-            (2, 0.1, 500, (1, 0), [196, 306, 261]),
-            (20, 0.24, 500, (1, 0), [203, 275, 311]),
+            (2, 0.1, 500, (1, 0), [203, 317, 281]),
+            (20, 0.24, 500, (1, 0), [195, 277, 315]),
             (10**12, 0.24, 100, (15, 4), None),
         ):
             got = [self._hits_and_replay(n, gamma, trials, seed, kind, kwargs)
@@ -407,17 +407,18 @@ class TestContainment:
 
 
 class TestPinnedOutputs:
-    """Seeded estimator outputs, pinned at the values of the path-major
-    evaluation that preceded step-major blocks.  The replay tests share
-    the estimators' draws; these show that no output shifted.  At
-    n = 10^12 the 3000 paths fall into one step-major block of 2638 and
-    one path-major block of 362."""
+    """Seeded estimator outputs.  First pinned at the values of the
+    path-major evaluation that preceded step-major blocks, and re-pinned
+    at the same keys when the streams moved from Philox to PCG64DXSM.
+    The replay tests share the estimators' draws; these show that no
+    output shifted.  At n = 10^12 the 3000 paths fall into one
+    step-major block of 2638 and one path-major block of 362."""
 
     DELTA = 0.006594420627
 
     @pytest.mark.parametrize("n, trials, seed, hits", [
-        (10**4, 10000, 41, [3603, 3649, 4917, 7061]),
-        (10**12, 3000, 42, [549, 549, 719, 1621]),
+        (10**4, 10000, 41, [3622, 3656, 4931, 7000]),
+        (10**12, 3000, 42, [578, 578, 720, 1648]),
     ])
     def test_estimate_event_hits(self, n, trials, seed, hits):
         got = [
@@ -436,11 +437,11 @@ class TestPinnedOutputs:
                                  threshold=-1.0, multiplier=0.1).hits
             for kind in ("log", "headline")
         ]
-        assert got == [9, 39]
+        assert got == [7, 31]
 
     @pytest.mark.parametrize("n, trials, seed, tallies", [
-        (10**4, 10000, 41, (3608, 3650, 4911)),
-        (10**12, 3000, 42, (576, 576, 753)),
+        (10**4, 10000, 41, (3603, 3645, 4870)),
+        (10**12, 3000, 42, (577, 577, 774)),
     ])
     def test_check_containment(self, n, trials, seed, tallies):
         got = walks.check_containment(n, 0.24, trials, RandomStream(seed, 6))
@@ -449,10 +450,10 @@ class TestPinnedOutputs:
     def test_ratio_tail_diagnostic(self):
         # 3000 paths of 782 steps: blocks of 2557 and 443 paths
         diag = walks.ratio_tail_diagnostic(10**4, self.DELTA, 3000, RandomStream(43, 0))
-        assert diag.total == 185.153
-        assert diag.ci_halfwidth == 8.198516742499187
+        assert diag.total == 190.41233333333332
+        assert diag.ci_halfwidth == 8.347451685071755
         assert np.rint(diag.per_j[:12] * 3000).tolist() == [
-            956, 918, 913, 872, 842, 818, 849, 830, 806, 811, 804, 790]
+            1057, 980, 928, 922, 895, 879, 837, 873, 867, 856, 865, 837]
         assert np.count_nonzero(diag.per_j) == 782
 
 
