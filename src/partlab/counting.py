@@ -17,11 +17,12 @@ in step.  Probabilities are exact rationals throughout.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
 
-from .partitions import Partition, _parts_of
+from .partitions import Partition, PartitionBatch, _as_partition
 
 __all__ = [
     "PartitionTable",
@@ -32,7 +33,7 @@ __all__ = [
     "graphical_count",
     "pentagonal_counts",
     "rank",
-    "rank_multiplicities",
+    "rank_batch",
     "unrank",
     "unrank_pairs",
 ]
@@ -132,11 +133,16 @@ def unrank_pairs(table, n, indices):
     is the partition of m - j that lies s - c(m, j-1) from the end.
     Every index steps at once from s = pi(n) - idx and m = n, one part
     per step, j found by a binary search in row m of the table.  The
-    parts of a row come out in non-increasing order.
+    parts of a row come out in non-increasing order.  The indices must
+    be integers, int64 or (above 2^63) Python integers in an object
+    array; a float raises TypeError rather than being truncated.
     """
     counts = table.counts
     total = table.count(n)
     idx = np.asarray(indices)
+    if idx.dtype.kind not in "iu":
+        for i in idx.flat:
+            operator.index(i)
     out = (idx < 0) | (idx >= total)
     if out.any():
         raise ValueError(
@@ -172,10 +178,9 @@ def unrank(table, n, idx):
     return Partition.from_sorted(parts.tolist())
 
 
-def rank_multiplicities(table, n, rows, row, part, mult):
-    """Enumeration indices of ``rows`` partitions of n given as
-    triples (row, part, multiplicity), sorted by row and then by
-    increasing part; the inverse of :func:`unrank_pairs`.
+def rank_batch(table, batch):
+    """Enumeration index of every row of the PartitionBatch ``batch``;
+    the inverse of :func:`unrank_pairs`.
 
     Unranking takes from s the count c(m, j-1) for each part j it
     chooses at weight m left, and ends at s = 1, so the index is
@@ -184,14 +189,15 @@ def rank_multiplicities(table, n, rows, row, part, mult):
     and by the column recurrence they take c(W, j) - c(W - mult j, j)
     in all.
     """
+    n, row, part = batch.n, batch.row, batch.part
     if n > table.max_n:
         raise ValueError(f"weight {n} outside table range 0..{table.max_n}")
-    weight = part * mult
+    weight = part * batch.mult
     # every row weighs n, so the running sum is n per earlier row plus
     # the weight in parts <= j of this one
     upto = np.cumsum(weight) - n * row
     counts = table.counts
-    taken = np.zeros(rows, dtype=counts.dtype)
+    taken = np.zeros(len(batch), dtype=counts.dtype)
     np.add.at(taken, row, counts[upto, part] - counts[upto - weight, part])
     return table.count(n) - 1 - taken
 
@@ -199,13 +205,10 @@ def rank_multiplicities(table, n, rows, row, part, mult):
 def rank(table, lam):
     """Position of ``lam`` in the enumeration order of its weight.
 
-    Inverse of :func:`unrank`; the one-row case of
-    :func:`rank_multiplicities`.
+    Inverse of :func:`unrank`; the one-row call of :func:`rank_batch`.
     """
-    parts = _parts_of(lam)
-    part, mult = np.unique(np.asarray(parts, dtype=np.int64), return_counts=True)
-    return int(rank_multiplicities(table, sum(parts), 1, np.zeros_like(part), part,
-                                   mult)[0])
+    lam = _as_partition(lam)
+    return int(rank_batch(table, PartitionBatch.from_partitions(lam.weight, [lam]))[0])
 
 
 def _ragged(sizes):

@@ -289,12 +289,14 @@ def decay_fit(points):
     """Fit log(estimate) = a + slope * log(n) by least squares.
 
     ``points`` is a sequence of (n, estimate) pairs with at least three
-    entries, estimates strictly inside (0, 1), and at least two
-    distinct n.  Returns DecayFit(slope, stderr).
+    entries, every n positive, estimates strictly inside (0, 1), and at
+    least two distinct n.  Returns DecayFit(slope, stderr).
     """
     pts = [(float(n), float(p)) for n, p in points]
     if len(pts) < 3:
         raise ValueError("need at least 3 points")
+    if any(n <= 0.0 for n, _ in pts):
+        raise ValueError("every n must be positive")
     if any(not 0.0 < p < 1.0 for _, p in pts):
         raise ValueError("estimates must lie strictly inside (0, 1)")
     x = np.log([n for n, _ in pts])

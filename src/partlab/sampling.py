@@ -37,33 +37,32 @@ its next part with a positive multiplicity (or that it has none left),
 and draws that multiplicity conditioned to be positive.  This inverts
 the first-success law exactly, so the samples are uniform for any K.
 
-Accepted samples come back as a :class:`PartitionBatch`: one (row,
-part, multiplicity) triple per distinct part, sorted by row and then
-by part.  K stays inside the sampler, which turns each block's
+Accepted samples come back as a ``partitions.PartitionBatch``: one
+(row, part, multiplicity) triple per distinct part, sorted by row and
+then by part.  K stays inside the sampler, which turns each block's
 accepted heads and tails into triples; the exact sampler's (row, part)
 pairs are packed alike.  ``sample_uniform_batch`` is the one draw
-entry point for every method and returns that batch.
-The estimators draw through it and run the Erdos-Gallai and dominance
-tests on the batch with array code; ``Partition`` objects are built
-only when a batch is indexed or iterated.
+entry point for every method and returns that batch.  This module only
+draws and estimates: the estimators draw through that entry point and
+count with the batch's own Erdos-Gallai and dominance kernels, and
+``Partition`` objects are built only when a batch is indexed or
+iterated.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import lru_cache
 
 import numpy as np
 
-from .counting import build_table, rank_multiplicities, unrank_pairs
-from .partitions import Partition
+from .counting import build_table, unrank_pairs
+from .partitions import PartitionBatch
 from .stats import C_SCALE, MC_BLOCK_ELEMENTS, make_estimate
 
 __all__ = [
     "BOLTZMANN_MAX_N",
     "EXACT_TABLE_CAP",
-    "PartitionBatch",
     "RejectionLimitError",
     "estimate_p_mc",
     "estimate_r_mc",
@@ -105,146 +104,6 @@ def _head_size(n):
     """Dense head cutoff K = min(n, ceil(3 sqrt(n)/c)) of the Boltzmann
     sampler; a part above K has probability at most e^-3."""
     return min(n, math.ceil(3.0 * math.sqrt(n) / C_SCALE))
-
-
-class PartitionBatch:
-    """Partitions of one weight n in sparse multiplicity form.
-
-    Row r of ``rows`` holds part ``part[t]`` with multiplicity
-    ``mult[t]`` >= 1 for every t with ``row[t]`` = r: one triple per
-    distinct part.  The constructor does not sort or check: the triples
-    must come sorted by row and then by increasing part, and every row
-    must weigh n.  Indexing with an int, or iterating, builds
-    :class:`Partition` objects; indexing with a slice selects rows.
-    """
-
-    def __init__(self, n, rows, row, part, mult):
-        self.n = n
-        self.rows = rows
-        self.row = np.asarray(row, dtype=np.int64)
-        self.part = np.asarray(part, dtype=np.int64)
-        self.mult = np.asarray(mult, dtype=np.int64)
-
-    @classmethod
-    def from_parts(cls, n, rows, row, part):
-        """Pack ``rows`` partitions of weight n, given as one (row, part)
-        pair per part, into multiplicity form."""
-        key, mult = np.unique(row * (n + 1) + part, return_counts=True)
-        return cls(n, rows, key // (n + 1), key % (n + 1), mult)
-
-    @classmethod
-    def from_partitions(cls, n, partitions):
-        """Pack partitions of weight n into multiplicity form."""
-        lengths = [len(lam) for lam in partitions]
-        row = np.repeat(np.arange(len(partitions)), lengths)
-        part = np.fromiter(itertools.chain.from_iterable(partitions),
-                           dtype=np.int64, count=sum(lengths))
-        return cls.from_parts(n, len(partitions), row, part)
-
-    def __len__(self):
-        return self.rows
-
-    def _partition(self, lo, hi):
-        return Partition.from_sorted(
-            np.repeat(self.part[lo:hi][::-1], self.mult[lo:hi][::-1]).tolist())
-
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            return self._select(np.arange(len(self))[key])
-        r = range(len(self))[key]
-        return self._partition(*np.searchsorted(self.row, [r, r + 1]))
-
-    def __iter__(self):
-        bounds = np.searchsorted(self.row, np.arange(len(self) + 1))
-        return (self._partition(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]))
-
-    def __eq__(self, other):
-        if not isinstance(other, PartitionBatch):
-            return NotImplemented
-        return (self.n, self.rows) == (other.n, other.rows) and all(
-            np.array_equal(getattr(self, k), getattr(other, k))
-            for k in ("row", "part", "mult"))
-
-    def ranks(self, table):
-        """Enumeration index of every row, by ``table``; agrees with
-        ``counting.rank``."""
-        return rank_multiplicities(table, self.n, len(self), self.row, self.part,
-                                   self.mult)
-
-    def _select(self, rows):
-        """The batch of rows ``rows``, in that order."""
-        count = np.bincount(self.row, minlength=len(self))
-        size = count[rows]
-        lo = (np.cumsum(count) - count)[rows]
-        # triple j of the output is triple j - start + lo of its source row
-        start = np.cumsum(size) - size
-        take = np.arange(size.sum()) + np.repeat(lo - start, size)
-        return PartitionBatch(self.n, len(rows), np.repeat(np.arange(len(rows)), size),
-                              self.part[take], self.mult[take])
-
-    def _at_least(self, key, weight, count):
-        """Per row, the sum of ``weight`` over the triples whose ``key``
-        is >= i, for i = 1..count."""
-        width = count + 1
-        hist = np.bincount(self.row * width + np.minimum(key, count), weights=weight,
-                           minlength=len(self) * width).reshape(-1, width)
-        return np.cumsum(hist[:, ::-1], axis=1)[:, -2::-1].astype(np.int64)
-
-    def _profile(self, count):
-        """conj_i, the number of parts >= i, and lam_i, the i-th largest
-        part or 0 past the last, of every row for i = 1..count."""
-        length = np.bincount(self.row, self.mult, len(self)).astype(np.int64)
-        # by conjugation lam_i sums, over the parts p with at least i parts
-        # >= p, the gap from p down to the next smaller part of its row
-        above = np.cumsum(length)[self.row] - np.cumsum(self.mult) + self.mult
-        gap = np.where(np.diff(self.row, prepend=-1) != 0, self.part,
-                       np.diff(self.part, prepend=0))
-        return (self._at_least(self.part, self.mult, count),
-                self._at_least(above, gap, count))
-
-    def leading_parts(self, count):
-        """Matrix of the ``count`` largest parts of each row, padded
-        with zeros."""
-        return self._profile(count)[1]
-
-    def graphical(self):
-        """Erdos-Gallai test of every row; agrees with
-        ``partitions.is_graphical_eg``.  Only i up to the Durfee size,
-        at most floor(sqrt(n)), is tested."""
-        if self.n % 2:
-            return np.zeros(len(self), dtype=bool)
-        top = math.isqrt(self.n)
-        i = np.arange(1, top + 1)
-        conj, lam = self._profile(top)
-        slack = np.cumsum(conj - lam, axis=1) - i
-        durfee = (lam >= i).sum(axis=1)
-        return ((slack >= 0) | (i > durfee[:, None])).all(axis=1)
-
-    def dominated_by(self, other):
-        """Row-wise dominance self[r] <= other[r]; agrees with
-        ``partitions.dominates``.
-
-        lam <= mu iff D_k = E_k(lam) - E_k(mu) <= 0 for every k >= 0,
-        where E_k counts the cells right of column k.  D_0 = 0, and D_k
-        is linear in k between part sizes of either row, so those sizes
-        suffice.
-        """
-        if other.n != self.n or len(other) != len(self):
-            raise ValueError("dominance needs two batches of one weight and size")
-        row, part, diff = (np.concatenate(column) for column in zip(
-            (self.row, self.part, self.mult), (other.row, other.part, -other.mult)))
-        # a stable sort merges the two sorted runs in one pass
-        order = np.argsort(row * (self.n + 1) + part, kind="stable")
-        row, part, diff = row[order], part[order], diff[order]
-        # D_k at k = part[t] sums (p - k) diff_p from t to the row's end;
-        # the p diff_p of a row sum to n - n = 0, so only the diff_p sums
-        # need the later rows taken off
-        mass = np.cumsum((part * diff)[::-1])[::-1]
-        size = np.append(np.cumsum(diff[::-1])[::-1], 0)
-        count = np.bincount(row, minlength=len(self))
-        end = np.repeat(np.cumsum(count), count)
-        excess = mass - part * (size[:-1] - size[end])
-        return np.bincount(row[excess > 0], minlength=len(self)) == 0
 
 
 @lru_cache(maxsize=16)

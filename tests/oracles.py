@@ -7,8 +7,12 @@ code with the kernel it checks:
 * the surrogate walk events on a single gen_walk path, and the
   per-path proof-step diagnostics (burn-in log-sum bound, drift gap,
   early minimum drop), against the block kernel of partlab.walks;
+* the scalar Erdos-Gallai and dominance loops, conjugation and the
+  Durfee square size, one partition at a time, against the batch
+  kernels PartitionBatch.graphical and dominated_by of
+  partlab.partitions;
 * the Gale-Ryser criterion and Kostka numbers by tableau enumeration,
-  against the dominance order of partlab.partitions;
+  against the dominance order;
 * the one-draw exact sampler, against the batch unranking of
   sampling.sample_uniform_batch, and the count of words a stream has
   drawn, against the estimators' draws;
@@ -35,7 +39,7 @@ import numpy as np
 
 from partlab import walks
 from partlab.counting import unrank
-from partlab.partitions import Partition, _conjugate_parts, _parts_of, dominates
+from partlab.partitions import Partition
 from partlab.stats import kahan_cumsum
 from partlab.walks import _require_delta, _row_values, floor_power, headline_threshold
 
@@ -188,6 +192,100 @@ def event_early_min_drop(n, delta, walk):
 
 
 # ----------------------------------------------------------- partitions
+
+def _parts_of(lam):
+    """Tuple of parts from a Partition or a bare part sequence."""
+    p = getattr(lam, "parts", None)
+    return p if p is not None else tuple(lam)
+
+
+def _conjugate_parts(parts):
+    # column count lookup via part-size tallies and a suffix sum
+    if not parts:
+        return ()
+    width = parts[0]
+    tally = [0] * (width + 1)
+    for p in parts:
+        tally[p] += 1
+    out = [0] * width
+    running = 0
+    for size in range(width, 0, -1):
+        running += tally[size]
+        out[size - 1] = running
+    return tuple(out)
+
+
+def conjugate(lam):
+    """Transpose the Young diagram: entry i is the count of parts >= i+1.
+
+    Involutive and weight preserving.
+    """
+    return Partition(_conjugate_parts(_parts_of(lam)))
+
+
+def durfee(lam):
+    """Side length of the largest square inside the Young diagram.
+
+    Equals max{k : parts[k-1] >= k}, and 0 for the empty partition.
+    """
+    parts = _parts_of(lam)
+    d = 0
+    while d < len(parts) and parts[d] >= d + 1:
+        d += 1
+    return d
+
+
+def dominates(alpha, beta):
+    """Test alpha <= beta in the dominance order.
+
+    True iff every prefix sum of ``alpha`` is at most the matching
+    prefix sum of ``beta``, the shorter part list padded with zeros.
+    Only defined when the weights agree.
+    """
+    a = _parts_of(alpha)
+    b = _parts_of(beta)
+    if sum(a) != sum(b):
+        raise ValueError(
+            "dominance undefined across different n: "
+            f"weights {sum(a)} and {sum(b)}"
+        )
+    sa = sb = 0
+    for i in range(max(len(a), len(b))):
+        if i < len(a):
+            sa += a[i]
+        if i < len(b):
+            sb += b[i]
+        if sa > sb:
+            return False
+    return True
+
+
+def is_graphical_eg(lam):
+    """Erdos-Gallai graphicality test in conjugate form.
+
+    A partition is the degree sequence of a simple graph iff its
+    weight is even and, for every i up to the Durfee square size,
+    sum_{j<=i} conj_j >= sum_{j<=i} parts_j + i.  The plain inequality
+    does not rule out odd weight (e.g. (1,1,1) satisfies it), so the
+    even-weight guard is applied first.  The empty partition counts as
+    graphical: it is the degree sequence of the empty graph.
+    """
+    parts = _parts_of(lam)
+    if sum(parts) % 2:
+        return False
+    if not parts:
+        return True
+    conj = _conjugate_parts(parts)
+    lhs = rhs = 0
+    for i in range(len(parts)):
+        if parts[i] < i + 1:
+            break
+        lhs += conj[i]
+        rhs += parts[i] + 1
+        if lhs < rhs:
+            return False
+    return True
+
 
 #: Weight cap for `kostka`; tableau enumeration is exponential.
 KOSTKA_WEIGHT_CAP = 20

@@ -6,12 +6,7 @@ import pytest
 
 import oracles
 from partlab import counting
-from partlab.partitions import (
-    Partition,
-    dominates,
-    is_graphical_eg,
-    is_graphical_hh,
-)
+from partlab.partitions import Partition, is_graphical_hh
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +121,12 @@ class TestRanking:
     def test_rank_accepts_bare_tuple(self, table):
         assert counting.rank(table, (4,)) == 0
 
+    def test_rank_bare_parts_go_through_partition(self, table):
+        assert counting.rank(table, (1, 3)) == counting.rank(table, (3, 1)) == 1
+        for parts in ((0, 2), (2, -1), (2.5, 1.5)):
+            with pytest.raises(ValueError, match="positive integers"):
+                counting.rank(table, parts)
+
     def test_rank_is_enumeration_position(self, table):
         for n in range(17):
             for idx, lam in enumerate(oracles.enumerate_partitions(n)):
@@ -145,6 +146,22 @@ class TestRanking:
     def test_unrank_pairs_bounds(self, table):
         with pytest.raises(ValueError, match="index 5 out of range for pi\\(4\\) = 5"):
             counting.unrank_pairs(table, 4, [0, 5, 1])
+
+    def test_non_integer_indices_refused(self, table):
+        with pytest.raises(TypeError):
+            counting.unrank(counting.build_table(10), 5, 2.7)
+        for indices in ([0.5, 1.9], np.array([1.0]), np.array([1, 2.0], dtype=object)):
+            with pytest.raises(TypeError):
+                counting.unrank_pairs(table, 5, indices)
+        # numpy integers, and Python integers past int64 in object arrays,
+        # still unrank
+        assert counting.unrank(table, 5, np.int64(2)).parts == (3, 2)
+        big = counting.build_table(406)
+        last = big.count(406) - 1
+        assert last >= 2**63
+        row, part = counting.unrank_pairs(big, 406, np.array([last, 0], dtype=object))
+        assert part[row == 0].tolist() == [1] * 406
+        assert part[row == 1].tolist() == [406]
 
 
 class TestExactP:
@@ -174,7 +191,7 @@ class TestExactP:
             hits = total = 0
             for lam in oracles.enumerate_partitions(n):
                 total += 1
-                ok = is_graphical_eg(lam)
+                ok = oracles.is_graphical_eg(lam)
                 assert ok == is_graphical_hh(lam), lam
                 hits += ok
             assert counting.graphical_count(n) == (hits, total), n
@@ -282,8 +299,8 @@ class TestExactR:
             )
             pairs, count = counting.comparable_count(n)
             assert (pairs, count) == (expect, len(plist))
-            # and the module's own dominates agrees pairwise
-            recheck = sum(dominates(a, b) for a in plist for b in plist)
+            # and the scalar dominance reference agrees pairwise
+            recheck = sum(oracles.dominates(a, b) for a in plist for b in plist)
             assert recheck == expect
 
     def test_cap(self):

@@ -296,6 +296,10 @@ class TestDecayFit:
             gaussian.decay_fit([(10, 0.5), (20, 1.0), (30, 0.4)])
         with pytest.raises(ValueError, match="span"):
             gaussian.decay_fit([(10, 0.5), (10, 0.4), (10, 0.3)])
+        # log(n) is -inf or nan there, and the fit would come back as nan
+        for first in (0, -10):
+            with pytest.raises(ValueError, match="every n must be positive"):
+                gaussian.decay_fit([(first, 0.3), (10, 0.2), (100, 0.1)])
 
     def test_exact_p_decays_slowly(self):
         pts = [(n, float(counting.exact_p(n))) for n in range(12, 29, 4)]

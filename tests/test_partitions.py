@@ -1,14 +1,14 @@
 import pytest
 
-from oracles import KOSTKA_WEIGHT_CAP, enumerate_partitions, gale_ryser, kostka
-from partlab.partitions import (
-    Partition,
+from oracles import (
+    KOSTKA_WEIGHT_CAP,
     conjugate,
-    dominates,
     durfee,
-    is_graphical_eg,
-    is_graphical_hh,
+    enumerate_partitions,
+    gale_ryser,
+    kostka,
 )
+from partlab.partitions import Partition, dominates, is_graphical_eg, is_graphical_hh
 
 
 class TestPartitionClass:
@@ -95,6 +95,13 @@ class TestDominance:
         with pytest.raises(ValueError, match="dominance undefined"):
             dominates((2, 1), (2, 2))
 
+    def test_bare_parts_go_through_partition(self):
+        # (1, 3) is (3, 1), whose first prefix 3 exceeds the 2 of (2, 2)
+        assert not dominates((1, 3), (2, 2))
+        assert dominates((2, 2), (1, 3))
+        with pytest.raises(ValueError, match="positive integers"):
+            dominates((0, 2), (2,))
+
     def test_incomparable_pair(self):
         # classic: (3,3) vs (4,1,1), neither dominates
         assert not dominates((3, 3), (4, 1, 1))
@@ -137,6 +144,13 @@ class TestGraphicality:
         for n in range(19):
             for lam in enumerate_partitions(n):
                 assert is_graphical_eg(lam) == is_graphical_hh(lam), lam
+
+    def test_bare_parts_go_through_partition(self):
+        assert not is_graphical_eg((1, 3))
+        assert is_graphical_eg((1, 2, 1))
+        for parts in ((0, 2), (2, -2), (1.5, 0.5)):
+            with pytest.raises(ValueError, match="positive integers"):
+                is_graphical_eg(parts)
 
     def test_degree_too_large_for_vertex_count(self):
         assert not is_graphical_hh((4, 1, 1))

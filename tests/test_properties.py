@@ -1,21 +1,16 @@
-"""Property tests: ranking, conjugation, the two graphicality tests, the
-batched (multiplicity-form) graphicality and dominance tests against
-their per-partition oracles, and Kostka positivity against dominance,
-on generated inputs."""
+"""Property tests: ranking, conjugation, the Erdos-Gallai kernel against
+Havel-Hakimi, the batched (multiplicity-form) graphicality and
+dominance kernels against their scalar references in tests/oracles.py,
+and Kostka positivity against dominance, on generated inputs."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import kostka
+import oracles
+from oracles import conjugate, kostka
 from partlab import counting, sampling
-from partlab.partitions import (
-    Partition,
-    conjugate,
-    dominates,
-    is_graphical_eg,
-    is_graphical_hh,
-)
+from partlab.partitions import Partition, dominates, is_graphical_eg, is_graphical_hh
 from partlab.rng import RandomStream
 
 MAX_N = 40
@@ -56,13 +51,13 @@ def test_batch_tests_match_the_oracles(n, pdc, seed):
     batch, _ = sampling.sample_fristedt_batch(
         n, 8 if pdc else 2, RandomStream(seed, 1), pdc=pdc)
     parts = list(batch)
-    eg = [is_graphical_eg(lam) for lam in parts]
+    eg = [oracles.is_graphical_eg(lam) for lam in parts]
     assert batch.graphical().tolist() == eg
     assert eg == [is_graphical_hh(lam) for lam in parts]
     half = len(parts) // 2
     for lo, hi in ((batch[:half], batch[half:]), (batch[half:], batch[:half])):
         assert lo.dominated_by(hi).tolist() == [
-            dominates(a, b) for a, b in zip(lo, hi)]
+            oracles.dominates(a, b) for a, b in zip(lo, hi)]
 
 
 @SETTINGS
