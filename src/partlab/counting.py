@@ -76,14 +76,6 @@ class PartitionTable:
         columns.flags.writeable = False
         self.counts = columns.T
 
-    def count_restricted(self, m, k):
-        """c(m, k): partitions of m with largest part at most k."""
-        if not (0 <= m <= self.max_n and 0 <= k <= self.max_n):
-            raise ValueError(
-                f"(m={m}, k={k}) outside table range 0..{self.max_n}"
-            )
-        return int(self.counts[m, k])
-
     def count(self, n):
         """pi(n), the number of partitions of n."""
         if not 0 <= n <= self.max_n:

@@ -58,6 +58,8 @@ CHOLESKY_CAP = 2000
 #: harmonic_prefix 0.16 s after a first call of 0.31 s (2-core x86-64,
 #: Python 3.11, numpy 2.4).
 _MAX_INDEX = MC_BLOCK_ELEMENTS
+#: The interval (lo, hi) that solve_rho_star scans and bisects.
+_RHO_BRACKET = (1.000001, 1e6)
 
 
 def _require_index(n):
@@ -170,8 +172,6 @@ def persistence_prob(n, alpha, trials, rng):
     _require_index(n)
     if not 0.0 <= alpha < 0.5:
         raise ValueError("alpha must lie in [0, 1/2)")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     cut = float(n) ** alpha
 
     def hits(z):
@@ -193,16 +193,17 @@ def g_rho(rho):
     return 1.0 + 2.0 * (x / (1.0 - x) + 0.5 * math.log(rho) * x / (1.0 - x) ** 2)
 
 
-def solve_rho_star(tolerance=1e-12, *, lo=1.000001, hi=1e6):
+def solve_rho_star(tolerance=1e-12):
     """Root of g(rho) = 5/4 by bisection.
 
-    An 80-point log-spaced scan first verifies g decreases over (lo, hi)
-    and that the bracket straddles 5/4; bisection then runs until the
-    residual |g(mid) - 5/4| drops to ``tolerance``.
+    An 80-point log-spaced scan first verifies g decreases over
+    _RHO_BRACKET = (lo, hi) and that it straddles 5/4; bisection then
+    runs until the residual |g(mid) - 5/4| drops to ``tolerance``.
     """
     if not 0 < tolerance < math.inf:
         raise ValueError("tolerance must be finite and positive")
     target = 1.25
+    lo, hi = _RHO_BRACKET
     grid = np.exp(np.linspace(math.log(lo), math.log(hi), 80))
     vals = [g_rho(float(r)) for r in grid]
     if any(b >= a for a, b in zip(vals, vals[1:])):

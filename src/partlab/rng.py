@@ -47,14 +47,9 @@ class RandomStream:
         """Uniform variates on [0, 1)."""
         return self._gen.random(size)
 
-    def uniform_open(self, size=None):
-        """Uniform variates on the open interval (0, 1); zeros are redrawn
-        in order, each from the words after the whole draw."""
-        if size is None:
-            u = self.uniform()
-            while u == 0.0:
-                u = self.uniform()
-            return u
+    def uniform_open(self, size):
+        """An array of uniform variates on the open interval (0, 1); zeros
+        are redrawn in order, each from the words after the whole draw."""
         u = self.uniform(size)
         mask = u == 0.0
         while mask.any():
@@ -62,13 +57,10 @@ class RandomStream:
             mask = u == 0.0
         return u
 
-    def exponential(self, size=None):
-        """Mean-1 exponentials by inverse CDF on open-interval uniforms.
-
-        Arrays are transformed in place, so a block costs its own size
-        in memory and no more."""
-        if size is None:
-            return -np.log(self.uniform_open())
+    def exponential(self, size):
+        """An array of mean-1 exponentials by inverse CDF on open-interval
+        uniforms, transformed in place, so a block costs its own size in
+        memory and no more."""
         u = self.uniform_open(size)
         np.log(u, out=u)
         return np.negative(u, out=u)
@@ -98,6 +90,8 @@ class RandomStream:
         bound = int(bound)
         if bound <= 0:
             raise ValueError("bound must be positive")
+        if size < 0:
+            raise ValueError("size must be nonnegative")
         dtype = np.int64 if bound <= 2**63 else object
         if bound == 1:
             return np.zeros(size, dtype=dtype)

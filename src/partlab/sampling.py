@@ -263,6 +263,8 @@ def sample_uniform_batch(n, count, rng, *, method="exact", max_rejections=10**7)
     indexed or iterated.
     """
     if method == "exact":
+        if count < 0:
+            raise ValueError("count must be nonnegative")
         if n > EXACT_TABLE_CAP:
             raise ValueError(
                 f"n = {n} above the exact sampler's table cap "

@@ -78,7 +78,10 @@ def path_blocks(trials, per_block, draw, evaluate):
     draw(paths) runs on the caller's thread, block after block, so the
     blocks take their variates in the order of one serial loop; evaluate
     runs on the pool, with at most _WORKERS drawn blocks waiting for it.
+    trials < 1 raises ValueError before any draw.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     flight = collections.deque()
     try:
         for done in range(0, trials, per_block):

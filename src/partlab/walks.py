@@ -325,8 +325,6 @@ def estimate_event(kind, n, gamma, delta, trials, rng, *,
     """
     if kind not in ("eg", "log", "headline"):
         raise ValueError(f"unknown event kind {kind!r}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     length = _walk_length(n, gamma)
     if delta is not None:
         _require_delta(delta)
@@ -383,8 +381,6 @@ def check_containment(n, gamma, trials, rng):
     thresholds.  Raises ValueError, before any path is drawn, when
     sqrt(n) overflows a float.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     length = _walk_length(n, gamma)
     _row_scale(n)  # refuse an n too large for the row map up front
 
@@ -507,8 +503,6 @@ def ratio_tail_diagnostic(n, delta, trials, rng):
     per-path exceedance count across indices feeds a CLT interval for
     the total.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     _, x = _ratio_tail_excess(n, delta)
     count = len(x)
     cuts = (1.0 + x)[:, None]

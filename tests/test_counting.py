@@ -16,10 +16,10 @@ def table():
 
 class TestTable:
     def test_restricted_examples(self, table):
-        assert table.count_restricted(5, 5) == 7
-        assert table.count_restricted(4, 2) == 3
-        assert table.count_restricted(0, 0) == 1
-        assert table.count_restricted(3, 0) == 0
+        assert table.counts[5, 5] == 7
+        assert table.counts[4, 2] == 3
+        assert table.counts[0, 0] == 1
+        assert table.counts[3, 0] == 0
 
     def test_totals(self, table):
         assert table.count(0) == 1
@@ -30,8 +30,6 @@ class TestTable:
     def test_range_errors(self, table):
         with pytest.raises(ValueError):
             table.count(61)
-        with pytest.raises(ValueError):
-            table.count_restricted(-1, 3)
 
     def test_pi_100(self):
         assert counting.build_table(100).count(100) == 190569292

@@ -216,11 +216,12 @@ class TestScaleEquation:
         assert abs(rho - 1528.691213) / 1528.691213 <= 1e-6
         assert abs(gaussian.g_rho(rho) - 1.25) <= 1e-12
 
-    def test_root_solver_validation(self):
+    def test_root_solver_validation(self, monkeypatch):
         with pytest.raises(ValueError):
             gaussian.solve_rho_star(0.0)
+        monkeypatch.setattr(gaussian, "_RHO_BRACKET", (10**4, 10**6))
         with pytest.raises(RuntimeError, match="bracket"):
-            gaussian.solve_rho_star(lo=10**4, hi=10**6)
+            gaussian.solve_rho_star()
 
     def test_rate_from_rho(self):
         assert abs(gaussian.beta_from_rho(math.e**10) - 0.01) < 1e-15

@@ -153,7 +153,7 @@ class TestBoltzmannSampler:
         n, draws = 200, 4000
         K = sampling._head_size(n)
         big = counting.build_table(n)
-        p = 1 - big.count_restricted(n, K) / big.count(n)
+        p = 1 - int(big.counts[n, K]) / big.count(n)
         batch, _ = sampling.sample_fristedt_batch(
             n, draws, RandomStream(23, int(pdc)), pdc=pdc
         )
@@ -347,6 +347,17 @@ class TestBatchFrontend:
         with pytest.raises(ValueError, match="unknown sampling method"):
             sampling.sample_uniform_batch(5, 1, RandomStream(15, 0), method="bogus")
 
+    @pytest.mark.parametrize("method", ["exact", "fristedt", "fristedt-pdc"])
+    def test_negative_count_refused_before_the_table(self, monkeypatch, method):
+        def refuse(*args, **kwargs):
+            raise AssertionError("table built")
+
+        monkeypatch.setattr(sampling, "build_table", refuse)
+        rng = RandomStream(15, 1)
+        with pytest.raises(ValueError, match="count must be nonnegative"):
+            sampling.sample_uniform_batch(10, -1, rng, method=method)
+        assert oracles.words_drawn(rng) == 0
+
     @pytest.mark.parametrize("method", ["fristedt", "fristedt-pdc"])
     def test_boltzmann_methods_return_the_sampler_batch(self, method):
         batch, attempts = sampling.sample_uniform_batch(
@@ -400,13 +411,13 @@ class TestBatchRanks:
         assert counting.rank_batch(table, batch).tolist() == want.tolist()
 
     @pytest.mark.parametrize("method", ["fristedt", "fristedt-pdc"])
-    def test_agrees_with_scalar_rank(self, method):
+    def test_rows_rank_to_their_enumeration_position(self, method):
         # K = 13 < 30, so the rows have tail parts too
         batch, _ = sampling.sample_uniform_batch(30, 200, RandomStream(34, 0),
                                                  method=method)
+        position = {lam: i for i, lam in enumerate(oracles.enumerate_partitions(30))}
         table = counting.build_table(40)
-        want = [counting.rank(table, lam) for lam in batch]
-        assert counting.rank_batch(table, batch).tolist() == want
+        assert counting.rank_batch(table, batch).tolist() == [position[lam] for lam in batch]
 
     def test_empty_partition(self, table):
         batch, _ = sampling.sample_uniform_batch(0, 3, RandomStream(35, 0))

@@ -537,6 +537,27 @@ _ESTIMATORS = {
 }
 
 
+#: Each block estimator with ``trials`` paths, as (trials, rng) -> result.
+_BY_TRIALS = {
+    "eg": lambda trials, rng: walks.estimate_event("eg", 10**4, 0.24, None, trials, rng),
+    "log": lambda trials, rng: walks.estimate_event("log", 10**4, 0.24, None, trials, rng),
+    "headline": lambda trials, rng: walks.estimate_event("headline", 10**4, 0.24, 0.0066,
+                                                         trials, rng),
+    "containment": lambda trials, rng: walks.check_containment(10**4, 0.24, trials, rng),
+    "ratio-tail": lambda trials, rng: walks.ratio_tail_diagnostic(100, 0.1, trials, rng),
+    "persistence": lambda trials, rng: gaussian.persistence_prob(100, 0.0, trials, rng),
+}
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+@pytest.mark.parametrize("name", list(_BY_TRIALS))
+def test_block_estimators_refuse_no_trials_before_drawing(name, trials):
+    rng = RandomStream(20261020, 0)
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        _BY_TRIALS[name](trials, rng)
+    assert oracles.words_drawn(rng) == 0
+
+
 @pytest.mark.parametrize("name", list(_ESTIMATORS))
 def test_stream_after_an_estimator_does_not_depend_on_workers(monkeypatch, name):
     # a draw taken after the estimator is the one after drawing every
