@@ -43,8 +43,8 @@ class RandomStream:
     def __repr__(self):
         return f"RandomStream(seed={self.seed}, stream_id={self.stream_id})"
 
-    def uniform(self, size=None):
-        """Uniform variates on [0, 1)."""
+    def uniform(self, size):
+        """An array of uniform variates on [0, 1)."""
         return self._gen.random(size)
 
     def uniform_open(self, size):
@@ -65,7 +65,8 @@ class RandomStream:
         np.log(u, out=u)
         return np.negative(u, out=u)
 
-    def standard_normal(self, size=None):
+    def standard_normal(self, size):
+        """An array of standard normal variates."""
         return self._gen.standard_normal(size)
 
     # Stays only because perfbench/layers.py wraps it; ROADMAP item 1 step 2 deletes it.

@@ -31,6 +31,20 @@ The caller's thread draws the blocks' uniforms in turn, by the
 uniform_open calls rng.exponential would make, and stats.path_blocks
 evaluates them on its pool, so the estimates and the stream's later
 draws do not depend on the worker count either.
+
+estimate_event screens each block on the first m = isqrt(L) of its L
+steps, where 4m <= L (so not at L = 9), and sums all L steps only for
+the paths still alive there.  Its three events are prefix events, met by
+a path only if they are met by each prefix of it, so a path that fails
+its first m steps fails.  The m-step verdict is the event's own, exact
+for the stored floats: 'eg' compares integer gaps, and 'log' and
+'headline' go through _prefix_min_at_least with its m-term bound and its
+Fraction fallback.  A survivor's sums and verdict are those of the
+unscreened pass and the caller draws the same uniforms, so every hit
+count is unchanged.  check_containment is not screened: it counts eg
+without log(0) path by path, and a screen on log(-1) would drop exactly
+those paths.  Neither is ratio_tail_diagnostic, whose per-index counts
+are no prefix event.
 """
 
 from __future__ import annotations
@@ -90,6 +104,9 @@ WALK_MAX_LENGTH = 10**5
 #: Above this, one more step moves log(floor(n**gamma)) by less than
 #: floor_power's slack, so its boundary correction is not applied.
 _FLOOR_POWER_EXACT = 10**9
+#: 2^63, less a margin of 10^-9 for the float rounding of the bounds it
+#: is compared with and of the row values themselves.
+_INT64_BOUND = 2.0**63 * (1 - 1e-9)
 
 
 @dataclass(frozen=True)
@@ -165,6 +182,31 @@ def _row_scale(n):
             "sqrt(n) overflows a float: n must be below about 1.8e308") from None
 
 
+def _row_gap_bound(n, length):
+    """A bound on |rows_j - cols_j| on every path of ``length`` steps.
+
+    Raises ValueError when sqrt(n) overflows a float, and unless the
+    row values and this bound fit int64.  An open-interval uniform is
+    k 2^-53 for some 1 <= k < 2^53, so every exponential -log(u) lies in
+    [a, b] = [1.1e-16, 36.8]: -log(1 - 2^-53) is above a and 53 log 2
+    below b.  Hence a j-step prefix sum lies in [j a, j b].  With scale
+    s = sqrt(n)/c and l = log s, the row value ceil(s(l - log S_j)) lies
+    within 1 of [s(l - log(length b)), s(l - log a)], so it is at most
+    s max(l - log a, log(length b) - l) + 1 in size; rows_j - cols_j
+    lies within 1 of s log(S'_j/S_j), so it is at most s log(b/a) + 1.
+    """
+    scale = _row_scale(n)
+    low, high = 1.1e-16, 36.8
+    log_scale = math.log(scale)
+    rows = scale * max(log_scale - math.log(low), math.log(length * high) - log_scale) + 1
+    gap = scale * math.log(high / low) + 1
+    if max(rows, gap) >= _INT64_BOUND:
+        raise ValueError(
+            f"surrogate rows at n = {n:.4g} could leave int64: "
+            f"they could reach {max(rows, gap):.4g} in size, above 2^63")
+    return gap
+
+
 def _row_values(n, prefix_sums):
     # unclamped: values can go <= 0 on atypical paths and are kept as is
     scale = _row_scale(n)
@@ -218,7 +260,7 @@ def _walk_length(n, gamma):
     return length
 
 
-def _walk_blocks(length, trials, rng, evaluate):
+def _walk_blocks(length, trials, rng, evaluate, screen=None):
     """evaluate(s, sp) on the prefix sums S, S' of ``trials`` paths, one
     block of paths at a time; yields the results in block order.
 
@@ -228,10 +270,32 @@ def _walk_blocks(length, trials, rng, evaluate):
     so the paths do not depend on the block size.  The caller's thread
     draws each block's uniforms (_draw_uniforms); the pool turns them
     into exponentials and prefix sums in place and runs evaluate.
+
+    ``screen(s, sp)``, when given, is the per-path verdict of a prefix
+    event: one that a path meets only if every prefix of it does.  When
+    4m <= length for m = isqrt(length), each block first sums a copy of
+    its first m steps and takes screen's verdict on them; if at most
+    half of the paths pass, the others are dropped before the block is
+    summed, and evaluate sees only the survivors, else it sees the whole
+    block.  A survivor's sums are those of the unscreened pass, and
+    evaluate must count a dropped path as failing the event: the screen
+    suits an estimate of the event's probability, not a tally of other
+    events.
     """
     per_block = max(1, min(_CHUNK, PATH_BLOCK_ELEMENTS // (2 * length)))
+    head = math.isqrt(length)
+    if screen is None or 4 * head > length:
+        head = 0
 
     def prefix_sums(walk):
+        if head:
+            first = _cumsum_steps(np.negative(np.log(walk[:head])))
+            alive = screen(first[:, 0], first[:, 1])
+            if 2 * np.count_nonzero(alive) <= alive.size:
+                # keep the block's memory layout: np.compress stays
+                # step-major, a boolean index puts the paths outermost
+                walk = (np.compress(alive, walk, axis=2) if walk.flags.c_contiguous
+                        else walk[:, :, alive])
         np.log(walk, out=walk)
         np.negative(walk, out=walk)
         _cumsum_steps(walk)
@@ -284,10 +348,21 @@ def _eg_rows(n, s, sp):
     a step-major block.
 
     sum_{j<=i} rows_j >= sum_{j<=i} cols_j + i, as the exact integer
-    prefix sums of rows_j - cols_j against i.
+    prefix sums of rows_j - cols_j against i.  Their int64 prefix sums
+    are exact on a path whose sum of |rows_j - cols_j| stays below
+    2^63; where _row_gap_bound lets a path pass that, such a path is
+    summed in Python integers.
     """
-    gap = _cumsum_steps(_row_values(n, s) - _row_values(n, sp))
-    return np.all(gap >= np.arange(1, s.shape[0] + 1)[:, None], axis=0)
+    diffs = _row_values(n, s) - _row_values(n, sp)
+    steps = np.arange(1, s.shape[0] + 1)
+    wide = ()
+    if s.shape[0] * _row_gap_bound(n, s.shape[0]) >= _INT64_BOUND:
+        wide = np.flatnonzero(np.abs(diffs).sum(axis=0, dtype=np.float64) >= _INT64_BOUND)
+    columns = [diffs[:, p].tolist() for p in wide]  # before the sums run in place
+    ok = np.all(_cumsum_steps(diffs) >= steps[:, None], axis=0)
+    for p, column in zip(wide, columns):
+        ok[p] = all(map(int.__ge__, itertools.accumulate(column), steps.tolist()))
+    return ok
 
 
 def _prefix_min_at_least(terms, *cuts):
@@ -319,9 +394,12 @@ def estimate_event(kind, n, gamma, delta, trials, rng, *,
     Paths are drawn path-major in blocks and evaluated step-major (see
     the module docstring), so the result does not depend on the block
     size; each path's verdict is that of the event evaluated exactly on
-    the float64 terms of its own gen_walk path.  Raises ValueError,
-    before any path is drawn, when sqrt(n) ('eg') or n^(delta/2)
-    ('headline') overflows a float; 'log' never takes n as a float.
+    the float64 terms of its own gen_walk path; paths that fail on
+    their first isqrt(L) steps are not summed further (see the module
+    docstring).  Raises ValueError, before any path is drawn, when
+    sqrt(n) ('eg') or n^(delta/2) ('headline') overflows a float, and
+    for 'eg' when the surrogate row values could leave int64 (from
+    about n = 2.4e34); 'log' never takes n as a float.
     """
     if kind not in ("eg", "log", "headline"):
         raise ValueError(f"unknown event kind {kind!r}")
@@ -331,23 +409,24 @@ def estimate_event(kind, n, gamma, delta, trials, rng, *,
     if math.isnan(threshold) or math.isnan(multiplier):
         raise ValueError("threshold and multiplier must not be NaN")
     if kind == "eg":
-        _row_scale(n)  # refuse an n too large for the row map up front
+        _row_gap_bound(n, length)  # refuse an n too large for int64 rows up front
     if kind == "headline":
         if delta is None:
             raise ValueError("headline event needs delta > 0")
         cut = headline_threshold(n, delta, multiplier)
         jj = np.arange(1, length + 1, dtype=np.float64)[:, None]
+    else:
+        cut = threshold
 
-    def hits(s, sp):
+    def event(s, sp):
         if kind == "eg":
-            ok = _eg_rows(n, s, sp)
-        elif kind == "log":
-            ok, = _prefix_min_at_least(np.log(sp) - np.log(s), threshold)
-        else:
-            ok, = _prefix_min_at_least((sp - s) / jj, cut)
-        return int(np.count_nonzero(ok))
+            return _eg_rows(n, s, sp)
+        terms = np.log(sp) - np.log(s) if kind == "log" else (sp - s) / jj[:len(s)]
+        ok, = _prefix_min_at_least(terms, cut)
+        return ok
 
-    hits = sum(_walk_blocks(length, trials, rng, hits))
+    hits = sum(_walk_blocks(length, trials, rng,
+                            lambda s, sp: int(np.count_nonzero(event(s, sp))), screen=event))
     return make_estimate(kind, hits, trials, n=n, gamma=gamma, delta=delta)
 
 
@@ -378,11 +457,13 @@ def check_containment(n, gamma, trials, rng):
     violations, which should be zero.  Paths are those of gen_walk
     called ``trials`` times on ``rng``, drawn in blocks as in
     estimate_event; one pass of log-ratio prefix sums serves both log
-    thresholds.  Raises ValueError, before any path is drawn, when
-    sqrt(n) overflows a float.
+    thresholds.  Every path is evaluated in full: no screen, since a
+    tally of eg without log(0) is no event's probability.  Raises
+    ValueError, before any path is drawn, when sqrt(n) overflows a
+    float or the surrogate row values could leave int64.
     """
     length = _walk_length(n, gamma)
-    _row_scale(n)  # refuse an n too large for the row map up front
+    _row_gap_bound(n, length)  # refuse an n too large for int64 rows up front
 
     def tallies(s, sp):
         a = _eg_rows(n, s, sp)

@@ -431,6 +431,17 @@ def test_float_overflow_is_one_line(runner, args, quantity):
     assert res.stderr.count("\n") == 1
 
 
+def test_int64_row_overflow_is_one_line(runner):
+    # past about 2.4e34 at gamma = 0.01 the row values could leave int64;
+    # unrefused, 10^40 drew 0 hits after a cast warning
+    res = runner.invoke(main, ["surrogate", "--event", "eg", "--n", str(10**40),
+                               "--gamma", "0.01", "--trials", "4000", "--seed", "1"])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: surrogate rows at n = 1e+40 could leave int64")
+    assert res.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize("seed", [str(2**64), "-1"])
 def test_seed_outside_64_bits_is_one_line(runner, seed):
     # masked to 64 bits, seed 2**64 drew seed 0's hits under its own name

@@ -197,7 +197,7 @@ class TestIntegersBelow:
                             for _ in range(size)]
         assert got.tolist() == want
         # the stream is left where the scalar calls leave it
-        assert batch.uniform() == scalar.uniform() == by_bytes.uniform()
+        assert batch.uniform(1)[0] == scalar.uniform(1)[0] == by_bytes.uniform(1)[0]
 
     def test_bound_validated(self):
         with pytest.raises(ValueError, match="bound must be positive"):

@@ -5,6 +5,7 @@ import multiprocessing
 import sys
 import threading
 import tracemalloc
+import warnings
 from fractions import Fraction
 from functools import partial
 
@@ -215,18 +216,20 @@ class TestEstimateEvent:
                 walks.estimate_event("headline", n, 0.002, delta, 10, rng)
             with pytest.raises(ValueError, match=r"n\^\(delta/2\) overflows a float"):
                 walks.headline_threshold(n, delta)
-        assert rng.uniform() == RandomStream(14, 1).uniform()
+        assert rng.uniform(1)[0] == RandomStream(14, 1).uniform(1)[0]
         est = walks.estimate_event("log", huge, 0.002, None, 10, RandomStream(14, 2))
         assert est.n == huge and est.trials == 10
 
     def test_matches_per_path_functions(self):
-        # lengths 5, 1 and 2 fill step-major blocks; 758 steps in 100
-        # paths keep the path-major memory of the draw.  The hits at
-        # lengths 1 and 2 are pinned as well as replayed.
+        # lengths 5, 1 and 2 fill step-major blocks, and so do 83 steps
+        # screened on their first 9; 758 steps in 100 paths keep the
+        # path-major memory of the draw.  The hits at lengths 1 and 2
+        # are pinned as well as replayed.
         for n, gamma, trials, seed, pinned in (
             (2000, 0.22, 600, (15, 3), None),
             (2, 0.1, 500, (1, 0), [203, 317, 281]),
             (20, 0.24, 500, (1, 0), [195, 277, 315]),
+            (10**8, 0.24, 600, (15, 7), None),
             (10**12, 0.24, 100, (15, 4), None),
         ):
             got = [self._hits_and_replay(n, gamma, trials, seed, kind, kwargs)
@@ -250,13 +253,70 @@ class TestEstimateEvent:
             if kind == "eg":
                 hits += oracles.event_eg_surrogate(n, gamma, w)
             elif kind == "log":
-                hits += oracles.event_log(n, gamma, w, threshold=-0.5)
+                hits += oracles.event_log(n, gamma, w, **kwargs)
             else:
-                cut = walks.headline_threshold(n, delta, multiplier=0.1)
+                cut = walks.headline_threshold(n, delta, **kwargs)
                 hits += oracles.min_weighted_stat(w, length) >= cut
         assert est.hits == hits
         assert est.trials == trials
         return est.hits
+
+    @pytest.mark.parametrize("kind, kwargs, hits", [
+        ("eg", {}, 99),
+        ("log", {"threshold": 0.0}, 99),
+        ("log", {"threshold": -1.0}, 123),
+        ("headline", {"multiplier": 0.01}, 146),
+    ])
+    def test_screened_paths_match_per_path_functions(self, kind, kwargs, hits):
+        # 758 steps are screened on their first 27: in blocks of 172
+        # paths, most are dropped there, and the headline blocks where
+        # more than half pass are evaluated whole.  The hits are those
+        # of the unscreened kernel as well as of the replay.
+        got = self._hits_and_replay(10**12, 0.24, 500, (15, 5), kind, kwargs)
+        assert got == hits
+
+    def test_rows_that_could_leave_int64_are_refused_before_drawing(self):
+        def admitted(n):
+            try:
+                walks._row_gap_bound(n, walks.floor_power(n, 0.01))
+            except ValueError:
+                return False
+            return True
+
+        # floor(n^0.01) = 2 from 10^34 to 10^35
+        lo, hi = 10**34, 10**35
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if admitted(mid) else (lo, mid)
+        rng = RandomStream(1, 0)
+        with pytest.raises(ValueError, match="could leave int64"):
+            walks.estimate_event("eg", hi, 0.01, None, 4000, rng)
+        with pytest.raises(ValueError, match="could leave int64"):
+            walks.check_containment(hi, 0.01, 4000, rng)
+        assert oracles.words_drawn(rng) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = walks.estimate_event("eg", lo, 0.01, None, 4000, RandomStream(1, 0))
+            rep = walks.check_containment(lo, 0.01, 4000, RandomStream(1, 0))
+        assert est.hits == rep.eg_hits == rep.log0_hits > 0
+        assert rep.violations == 0
+
+    def test_gap_sums_past_int64_are_summed_exactly(self):
+        # at n = 10^34 the row values fit int64, but the gap sums of the
+        # first path, whose X are all 1.1e-16 and X' all 36.8, pass 2^63
+        # by step 3; the other paths are drawn at random
+        n, length = 10**34, 4
+        steps = np.arange(1, length + 1, dtype=np.float64)
+        rng = RandomStream(15, 6)
+        walks_drawn = [walks.gen_walk(length, rng) for _ in range(3)]
+        s = np.array([1.1e-16 * steps] + [w.s for w in walks_drawn]).T
+        sp = np.array([36.8 * steps] + [w.s_prime for w in walks_drawn]).T
+        walks._row_gap_bound(n, length)  # admitted
+        diffs = walks._row_values(n, s) - walks._row_values(n, sp)
+        want = [all(g >= i for i, g in enumerate(itertools.accumulate(column), 1))
+                for column in diffs.T.tolist()]
+        assert sum(diffs[:, 0].tolist()[:3]) >= 2**63 and want[0]
+        assert walks._eg_rows(n, s, sp).tolist() == want
 
     def test_deterministic(self):
         a = walks.estimate_event("eg", 500, 0.2, None, 300, RandomStream(16, 0))
@@ -349,6 +409,62 @@ class TestCertifiedPrefixMin:
         want = [[_exact_min_at_least(c, cut) for c in columns] for cut in cuts]
         assert want == [[True, False, False, True], [True, False, True, True]]
         assert [ok.tolist() for ok in got] == want
+
+    def test_screen_decides_on_exact_sums(self):
+        # this stream's first path of 758 steps has its least log-ratio
+        # prefix sum in its first 27, where the float prefix sums lie one
+        # ulp below it: at a cut between the two, a screen on plain float
+        # sums would drop a path that meets the event
+        w = walks.gen_walk(758, RandomStream(4, 0))
+        terms = np.log(w.s_prime) - np.log(w.s)
+        low = np.cumsum(terms[:27]).min()
+        cut = float(np.nextafter(low, np.inf))
+        assert abs(low - cut) <= 27 * 2.0**-52 * np.abs(terms[:27]).sum()
+        assert _exact_min_at_least(terms.tolist(), cut)
+        est = walks.estimate_event("log", 10**12, 0.24, None, 1, RandomStream(4, 0),
+                                   threshold=cut)
+        assert est.hits == 1
+
+
+def _record_shapes(monkeypatch, seen, name, terms_at):
+    """Append to ``seen`` the (steps, paths) shape of every call of
+    walks.<name>, read from its argument ``terms_at``."""
+    inner = getattr(walks, name)
+
+    def record(*args):
+        seen.append(args[terms_at].shape)
+        return inner(*args)
+
+    monkeypatch.setattr(walks, name, record)
+
+
+@pytest.mark.parametrize("kind, threshold", [("eg", -1.0), ("log", 0.0), ("log", -1.0)])
+def test_screen_drops_at_least_half_of_each_block(monkeypatch, kind, threshold):
+    # 2000 paths of 758 steps are 11 blocks of 172 paths and one of 108;
+    # each block's first 27 steps are screened, and only the paths that
+    # pass, at most half of them, are summed over all 758 steps
+    monkeypatch.setattr(stats, "_WORKERS", 1)
+    seen = []
+    _record_shapes(monkeypatch, seen, "_eg_rows", 1)
+    _record_shapes(monkeypatch, seen, "_prefix_min_at_least", 0)
+    walks.estimate_event(kind, 10**12, 0.24, None, 2000, RandomStream(42, 5),
+                         threshold=threshold)
+    screens, full = seen[0::2], seen[1::2]
+    assert screens == [(27, 172)] * 11 + [(27, 108)]
+    assert [steps for steps, _ in full] == [758] * 12
+    assert all(2 * kept <= paths for (_, kept), (_, paths) in zip(full, screens))
+
+
+def test_containment_is_not_screened(monkeypatch):
+    # an eg verdict patched to hold on every path must show as a violation
+    # on every path that fails log(0), however early it fails
+    n, gamma, trials = 10**12, 0.24, 600
+    want = walks.check_containment(n, gamma, trials, RandomStream(42, 6))
+    monkeypatch.setattr(walks, "_eg_rows", lambda n, s, sp: np.ones(s.shape[1], dtype=bool))
+    got = walks.check_containment(n, gamma, trials, RandomStream(42, 6))
+    assert got.log0_hits == want.log0_hits < trials
+    assert got.eg_hits == trials
+    assert got.violations == trials - want.log0_hits
 
 
 def _containment_replay(n, gamma, trials, rng):
@@ -501,7 +617,7 @@ def _results_by_size_and_workers(monkeypatch, run):
 
 @pytest.mark.parametrize("n, gamma, trials", [
     (1000, 0.2, 5000), (10**12, 0.24, 60),
-    (2, 0.1, 3000), (20, 0.24, 3000), (10**4, 0.24, 3000),
+    (2, 0.1, 3000), (20, 0.24, 3000), (10**4, 0.24, 3000), (10**8, 0.24, 3000),
 ])
 def test_walk_estimators_do_not_depend_on_block_size(monkeypatch, n, gamma, trials):
     results = _results_by_size_and_workers(
@@ -585,7 +701,7 @@ def test_estimators_draw_on_the_calling_thread(monkeypatch, name):
     monkeypatch.setattr(stats, "_WORKERS", 2)
     threads = set()
     for method in ("uniform", "standard_normal"):
-        def record(self, size=None, draw=getattr(RandomStream, method)):
+        def record(self, size, draw=getattr(RandomStream, method)):
             threads.add(threading.get_ident())
             return draw(self, size)
 
@@ -654,10 +770,10 @@ def _zero_at(monkeypatch, word):
     """Make the double drawn from word ``word`` of every stream an exact 0.0."""
     draw = RandomStream.uniform
 
-    def uniform(self, size=None):
+    def uniform(self, size):
         start = oracles.words_drawn(self)
         u = draw(self, size)
-        if size is not None and start <= word < start + u.size:
+        if start <= word < start + u.size:
             u.flat[word - start] = 0.0
         return u
 
@@ -732,7 +848,7 @@ class TestConcentrationChecks:
                 fn(n, 0.1)
         with pytest.raises(ValueError, match="burn-in range"):
             walks.ratio_tail_diagnostic(n, 0.1, 10, rng)
-        assert rng.uniform() == RandomStream(23, 4).uniform()
+        assert rng.uniform(1)[0] == RandomStream(23, 4).uniform(1)[0]
 
     def test_ratio_tail_one_index_at_n_2(self):
         assert walks.log_cube(2) == 1
@@ -766,7 +882,7 @@ class TestConcentrationChecks:
                 fn(10**4, 1e300)
         with pytest.raises(ValueError, match=r"n\^\(delta/2\) overflows a float"):
             walks.ratio_tail_diagnostic(10**4, 1e300, 10, rng)
-        assert rng.uniform() == RandomStream(23, 6).uniform()
+        assert rng.uniform(1)[0] == RandomStream(23, 6).uniform(1)[0]
 
     def test_ratio_tail_deterministic(self):
         a = walks.ratio_tail_diagnostic(100, 0.1, 2000, RandomStream(22, 0))
