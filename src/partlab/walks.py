@@ -32,19 +32,21 @@ uniform_open calls rng.exponential would make, and stats.path_blocks
 evaluates them on its pool, so the estimates and the stream's later
 draws do not depend on the worker count either.
 
-estimate_event screens each block on the first m = isqrt(L) of its L
-steps, where 4m <= L (so not at L = 9), and sums all L steps only for
-the paths still alive there.  Its three events are prefix events, met by
-a path only if they are met by each prefix of it, so a path that fails
-its first m steps fails.  The m-step verdict is the event's own, exact
-for the stored floats: 'eg' compares integer gaps, and 'log' and
-'headline' go through _prefix_min_at_least with its m-term bound and its
-Fraction fallback.  A survivor's sums and verdict are those of the
-unscreened pass and the caller draws the same uniforms, so every hit
-count is unchanged.  check_containment is not screened: it counts eg
-without log(0) path by path, and a screen on log(-1) would drop exactly
-those paths.  Neither is ratio_tail_diagnostic, whose per-index counts
-are no prefix event.
+estimate_event screens each path-major block (fewer paths than steps)
+on the first m = isqrt(L) of its L steps, where 4m <= L (so not at
+L = 9), and sums all L steps only for the paths still alive there.
+Once a block keeps more than half its paths, as a headline event that
+never fails does, the call's later blocks are summed whole unscreened.
+Its three events are prefix events, met by a path only if they are met
+by each prefix of it, so a path that fails its first m steps fails.
+The m-step verdict is the event's own, exact for the stored floats:
+'eg' compares integer gaps, and 'log' and 'headline' go through
+_prefix_min_at_least with its m-term bound and its Fraction fallback.
+A survivor's sums and verdict are those of the unscreened pass and the
+caller draws the same uniforms, so every hit count is unchanged.
+check_containment is not screened: it counts eg without log(0) path by
+path, and a screen on log(-1) would drop exactly those paths.  Neither
+is ratio_tail_diagnostic, whose per-index counts are no prefix event.
 """
 
 from __future__ import annotations
@@ -273,29 +275,31 @@ def _walk_blocks(length, trials, rng, evaluate, screen=None):
 
     ``screen(s, sp)``, when given, is the per-path verdict of a prefix
     event: one that a path meets only if every prefix of it does.  When
-    4m <= length for m = isqrt(length), each block first sums a copy of
-    its first m steps and takes screen's verdict on them; if at most
-    half of the paths pass, the others are dropped before the block is
-    summed, and evaluate sees only the survivors, else it sees the whole
-    block.  A survivor's sums are those of the unscreened pass, and
-    evaluate must count a dropped path as failing the event: the screen
-    suits an estimate of the event's probability, not a tally of other
-    events.
+    4m <= length for m = isqrt(length), each path-major block (fewer
+    paths than steps) first sums a copy of its first m steps and takes
+    screen's verdict on them; if at most half of the paths pass, the
+    others are dropped before the block is summed, and evaluate sees
+    only the survivors, else it sees the whole block and the call's
+    later blocks are not screened.  A survivor's sums are those of the
+    unscreened pass, and evaluate must count a dropped path as failing
+    the event: the screen suits an estimate of the event's probability,
+    not a tally of other events.  Whether a block is screened changes no
+    result, so it does not matter which of the blocks in flight on the
+    pool see the stop.
     """
     per_block = max(1, min(_CHUNK, PATH_BLOCK_ELEMENTS // (2 * length)))
     head = math.isqrt(length)
-    if screen is None or 4 * head > length:
-        head = 0
+    screening = screen is not None and 4 * head <= length
 
     def prefix_sums(walk):
-        if head:
+        nonlocal screening
+        if screening and walk.shape[2] < length:
             first = _cumsum_steps(np.negative(np.log(walk[:head])))
             alive = screen(first[:, 0], first[:, 1])
             if 2 * np.count_nonzero(alive) <= alive.size:
-                # keep the block's memory layout: np.compress stays
-                # step-major, a boolean index puts the paths outermost
-                walk = (np.compress(alive, walk, axis=2) if walk.flags.c_contiguous
-                        else walk[:, :, alive])
+                walk = walk[:, :, alive]
+            else:
+                screening = False
         np.log(walk, out=walk)
         np.negative(walk, out=walk)
         _cumsum_steps(walk)

@@ -221,9 +221,9 @@ class TestEstimateEvent:
         assert est.n == huge and est.trials == 10
 
     def test_matches_per_path_functions(self):
-        # lengths 5, 1 and 2 fill step-major blocks, and so do 83 steps
-        # screened on their first 9; 758 steps in 100 paths keep the
-        # path-major memory of the draw.  The hits at lengths 1 and 2
+        # lengths 5, 1 and 2 fill step-major blocks, and so do 83 steps,
+        # which are not screened there; 758 steps in 100 paths keep the
+        # path-major memory of the draw, and are screened on 27.  The hits at lengths 1 and 2
         # are pinned as well as replayed.
         for n, gamma, trials, seed, pinned in (
             (2000, 0.22, 600, (15, 3), None),
@@ -269,8 +269,8 @@ class TestEstimateEvent:
     ])
     def test_screened_paths_match_per_path_functions(self, kind, kwargs, hits):
         # 758 steps are screened on their first 27: in blocks of 172
-        # paths, most are dropped there, and the headline blocks where
-        # more than half pass are evaluated whole.  The hits are those
+        # paths, most are dropped there; once a headline block keeps
+        # more than half, it and the later blocks are evaluated whole.  The hits are those
         # of the unscreened kernel as well as of the replay.
         got = self._hits_and_replay(10**12, 0.24, 500, (15, 5), kind, kwargs)
         assert got == hits
@@ -453,6 +453,23 @@ def test_screen_drops_at_least_half_of_each_block(monkeypatch, kind, threshold):
     assert screens == [(27, 172)] * 11 + [(27, 108)]
     assert [steps for steps, _ in full] == [758] * 12
     assert all(2 * kept <= paths for (_, kept), (_, paths) in zip(full, screens))
+
+
+@pytest.mark.parametrize("kind, n, delta, trials, shapes", [
+    # the canonical headline event never fails at 10^12: the first block
+    # keeps all its paths, and the later blocks are not screened
+    ("headline", 10**12, 0.0066, 2000, [(27, 172)] + [(758, 172)] * 11 + [(758, 108)]),
+    # 600 paths of 83 steps fill one step-major block, not screened
+    ("log", 10**8, None, 600, [(83, 600)]),
+])
+def test_screen_skips_blocks_it_would_not_thin(monkeypatch, kind, n, delta, trials,
+                                                shapes):
+    monkeypatch.setattr(stats, "_WORKERS", 1)
+    seen = []
+    _record_shapes(monkeypatch, seen, "_prefix_min_at_least", 0)
+    est = walks.estimate_event(kind, n, 0.24, delta, trials, RandomStream(42, 5))
+    assert seen == shapes
+    assert kind == "log" or est.hits == trials
 
 
 def test_containment_is_not_screened(monkeypatch):
